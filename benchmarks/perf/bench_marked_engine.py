@@ -25,8 +25,9 @@ Two extension blocks (PR 7) ride on the same harness:
   available kernel tier (numpy / numba / cext), gated on byte-identical
   mask arrays and, when a compiled tier exists, on a minimum speedup
   over the NumPy reference.  ``--enum-only`` restricts the run to this
-  block so the committed ``n >= 24`` baseline stays tractable (a full
-  qmkp at n = 24 would need a 2^24-amplitude simulation);
+  block so the committed ``n >= 24`` baseline stays tractable (the
+  uncached qmkp at n = 24 scans 2^24 masks through the Python
+  predicate at every probe);
 * ``ladder`` — binary vs adaptive threshold ladder on a qmkp-feasible
   companion instance (``--ladder-n``), gated on identical optima and
   never-more probes.
@@ -258,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--enum-only", action="store_true",
         help="skip the full-qmkp timings (for n >= ~20, where the "
-        "amplitude simulation is intractable) and benchmark the "
+        "uncached per-probe predicate scan is intractable) and benchmark the "
         "enumeration kernel tiers + ladder companion instance only",
     )
     parser.add_argument(

@@ -30,6 +30,7 @@ from .analysis import format_table
 from .core import build_mkp_qubo, qamkp, qmkp
 from .core.oracle import KCplexOracle
 from .graphs import read_edge_list
+from .grover import PhaseOracleGrover
 from .kplex import is_kplex, maximum_kplex, maximum_kplex_bruteforce
 
 __all__ = ["main", "build_parser"]
@@ -373,6 +374,19 @@ def _translate(subset, labels) -> list[object]:
 def _cmd_solve(args, graph, labels) -> int:
     import numpy as np
 
+    if args.k < 1:
+        print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
+        return 2
+    # Every qmkp probe enumerates all 2^n subsets (the bit-parallel sweep
+    # shares the engine's ceiling, MAX_VERTICES == MAX_QUBITS).
+    limit = PhaseOracleGrover.MAX_QUBITS
+    if args.solver == "qmkp" and graph.num_vertices > limit:
+        print(
+            f"error: --solver qmkp enumerates all 2^n vertex subsets and "
+            f"supports n <= {limit}; this graph has n = {graph.num_vertices}",
+            file=sys.stderr,
+        )
+        return 2
     if args.solver != "qmkp" and (args.workers is not None or args.no_cache):
         print(
             "error: --workers/--no-cache require --solver qmkp",

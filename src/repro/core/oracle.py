@@ -38,7 +38,7 @@ from ..quantum import (
     popcount,
 )
 
-__all__ = ["OracleCosts", "KCplexOracle"]
+__all__ = ["OracleCosts", "KCplexOracle", "size_comparator_gates"]
 
 #: Section labels used for component-wise gate accounting (Table IV).
 COMPONENT_ENCODE = "encode"
@@ -88,6 +88,31 @@ class OracleCosts:
             "degree_compare": self.degree_compare / base,
             "size_check": self.size_check / base,
         }
+
+
+def _size_comparator(
+    qc: QuantumCircuit, size_counter: list[int], threshold: int, alloc: QubitAllocator
+) -> int:
+    """Emit the ``[size >= T]`` flag; returns its qubit."""
+    if threshold == 0:
+        size_ok = alloc.take(1, "size_ok")[0]
+        qc.x(size_ok)
+        return size_ok
+    return compare_geq_const(qc, size_counter, threshold, alloc)
+
+
+def size_comparator_gates(num_vertices: int, threshold: int) -> int:
+    """Forward gate count of the size comparator ``[size >= threshold]``.
+
+    The comparator is the only block of :class:`KCplexOracle` that
+    depends on ``T``; every other block depends on ``(complement, k)``
+    alone.  qTKP therefore prices those once per ``(graph, k)`` and adds
+    this count per probe instead of building the whole circuit.
+    """
+    qc = QuantumCircuit()
+    counter = qc.add_register("size", counter_width(num_vertices))
+    _size_comparator(qc, counter.qubits, threshold, QubitAllocator(qc))
+    return qc.num_gates
 
 
 class KCplexOracle:
@@ -192,11 +217,7 @@ class KCplexOracle:
             size_counter = popcount(qc, vertex_reg.qubits, alloc, adder=self.adder)
         else:
             size_counter = alloc.take(1, "size")
-        if self.threshold == 0:
-            size_ok = alloc.take(1, "size_ok")[0]
-            qc.x(size_ok)
-        else:
-            size_ok = compare_geq_const(qc, size_counter, self.threshold, alloc)
+        size_ok = _size_comparator(qc, size_counter, self.threshold, alloc)
         qc.set_label(None)
 
         self._u_check = qc

@@ -11,14 +11,21 @@ Pipeline, exactly as in the paper:
 5. measure the vertex register and verify the candidate classically
    (an O(n^2) check); retry on a bad collapse.
 
+Steps 3-5 run on :class:`repro.grover.PhaseOracleGrover`, which keeps
+the two amplitudes (marked / unmarked) the register ever holds, so a
+probe's Grover run costs O(iterations) at any ``n``.
+
 Cost accounting: every Grover round costs one phase-oracle call (gate
 count from the constructed circuit) plus one diffusion operator; the
 per-component split feeds Table IV and the classical-vs-quantum tables.
+Only the size comparator depends on ``T``, so with a marked-set cache
+the circuit is built once per ``(graph, k)`` and each probe adds its own
+comparator's gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from ..resilience.gate import (
     GateVerification,
     execute_with_retries,
 )
-from .oracle import KCplexOracle, OracleCosts
+from .oracle import KCplexOracle, OracleCosts, size_comparator_gates
 
 __all__ = ["QTKPResult", "qtkp"]
 
@@ -169,6 +176,8 @@ def qtkp(
         raise ValueError(
             f"threshold must be in [1, n={graph.num_vertices}], got {threshold}"
         )
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if counting not in ("exact", "quantum", "bbht"):
@@ -200,6 +209,31 @@ def qtkp(
     return result
 
 
+def _probe_costs(
+    cache: MarkedSetCache, graph: Graph, k: int, threshold: int
+) -> OracleCosts:
+    """``KCplexOracle(graph.complement(), k, threshold).component_costs()``,
+    with the circuit built once per ``(graph, k)``.
+
+    Only the size comparator depends on ``threshold``: the counts of
+    every other block are kept beside the cache's ``(graph, k)`` table
+    and each probe adds its own comparator (twice: ``U_check`` and its
+    inverse).
+    """
+    n = graph.num_vertices
+
+    def threshold_free() -> OracleCosts:
+        costs = KCplexOracle(graph.complement(), k, threshold).component_costs()
+        return replace(
+            costs, size_check=costs.size_check - 2 * size_comparator_gates(n, threshold)
+        )
+
+    costs = cache.oracle_costs(graph, k, threshold_free)
+    return replace(
+        costs, size_check=costs.size_check + 2 * size_comparator_gates(n, threshold)
+    )
+
+
 def _qtkp_body(
     graph: Graph,
     k: int,
@@ -214,12 +248,13 @@ def _qtkp_body(
     bbht_state: dict | None = None,
 ) -> QTKPResult:
     n = graph.num_vertices
-    complement = graph.complement()
-    oracle = KCplexOracle(complement, k, threshold)
     if cache is not None:
         engine = PhaseOracleGrover(n, cache.marked(graph, k, threshold))
+        per_call = _probe_costs(cache, graph, k, threshold)
     else:
+        oracle = KCplexOracle(graph.complement(), k, threshold)
         engine = PhaseOracleGrover(n, oracle.predicate)
+        per_call = oracle.component_costs()
     exact_m = engine.num_marked
 
     stats = GateVerification() if injector is not None else None
@@ -231,7 +266,6 @@ def _qtkp_body(
     else:
         num_marked = exact_m
 
-    per_call = oracle.component_costs()
     per_round = per_call.total + diffusion_gate_count(n)
 
     if counting == "bbht":

@@ -41,8 +41,9 @@ __all__ = [
     "kplex_masks_containing",
 ]
 
-#: Same ceiling as ``PhaseOracleGrover.MAX_QUBITS`` — beyond this the
-#: amplitude vector itself is unreasonable, so the enumerator refuses too.
+#: Widest graph the enumerator sweeps.  The Grover engine holds two
+#: amplitudes at any width, so enumerating the ``2^n`` masks is what
+#: limits qMKP; ``PhaseOracleGrover.MAX_QUBITS`` is the same ceiling.
 MAX_VERTICES = 26
 
 #: Default memory budget for one chunk's working arrays (~64 MB).

@@ -272,7 +272,7 @@ class MatrixProductState:
             chi_left = remainder.shape[0]
             rest_dim = remainder.shape[1] // 2
             m = remainder.reshape(chi_left * 2, rest_dim * remainder.shape[2])
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
+            u, s, vh = _svd(m)
             keep, discarded = _truncation_rank(s, self.max_bond)
             self.truncation_error += discarded
             u, s, vh = u[:, :keep], s[:keep], vh[:keep]
@@ -281,6 +281,21 @@ class MatrixProductState:
         tensors.append(remainder)
         for offset, tensor in enumerate(tensors):
             self._sites[block[0] + offset] = tensor
+
+
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of one split, retried with LAPACK's QR-iteration driver.
+
+    NumPy's driver (gesdd, divide and conquer) can report "SVD did not
+    converge" on finite, well-conditioned blocks; gesvd is slower but
+    converges on them.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
+        from scipy.linalg import svd
+
+        return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
 def _truncation_rank(

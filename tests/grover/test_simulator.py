@@ -109,12 +109,11 @@ class TestFullCircuitAgreement:
         assert np.allclose(dense_probs, fast_probs, atol=1e-9)
 
 
-class TestMeasurementMemoization:
-    def test_probabilities_cached_and_normalized(self):
+class TestMeasurementDistribution:
+    def test_probabilities_normalized(self):
         engine = PhaseOracleGrover(4, [3, 9])
         run = engine.run(2)
         probs = run.probabilities()
-        assert probs is run.probabilities()  # same object: computed once
         assert probs.sum() == pytest.approx(1.0)
         assert np.array_equal(probs, run.amplitudes ** 2 / (run.amplitudes ** 2).sum())
 

@@ -166,6 +166,25 @@ class TestRobustness:
         assert code == 2
         assert "qamkp-qpu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "solver", [[], ["--solver", "qmkp"], ["--solver", "bruteforce"]]
+    )
+    def test_k_zero_exits_2(self, graph_file, capsys, solver):
+        assert main(["solve", graph_file, "-k", "0", *solver]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+
+    def test_qmkp_too_wide_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(29)))  # n = 30
+        assert main(["solve", str(path), "--solver", "qmkp"]) == 2
+        assert "supports n <= 26" in capsys.readouterr().err
+
+    def test_qmkp_no_cache_too_wide_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(26)))  # n = 27
+        assert main(["solve", str(path), "--solver", "qmkp", "--no-cache"]) == 2
+        assert "supports n <= 26" in capsys.readouterr().err
+
     def test_bad_fault_spec_exits_2(self, graph_file, capsys):
         code = main([
             "solve", graph_file, "--solver", "qamkp-qpu",

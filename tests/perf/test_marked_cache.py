@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import qmkp, qtkp
+from repro.core.oracle import KCplexOracle
 from repro.core.subset_search import grover_maximum_subset, maximum_clique_quantum
 from repro.graphs import Graph, gnm_random_graph
 from repro.grover import PhaseOracleGrover
@@ -183,6 +184,71 @@ class TestQmkpEquivalence:
                     rng=np.random.default_rng(3), cache=MarkedSetCache())
         assert fast.subset == base.subset
         assert fast.oracle_calls == base.oracle_calls
+
+
+class TestOracleCostMemo:
+    """qTKP builds the oracle circuit once per ``(graph, k)`` per cache."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        original = KCplexOracle.__init__
+
+        def counting_init(oracle, *args, **kwargs):
+            built.append(args)
+            original(oracle, *args, **kwargs)
+
+        monkeypatch.setattr(KCplexOracle, "__init__", counting_init)
+        return built
+
+    def test_one_build_per_cold_run(self, builds):
+        graph = gnm_random_graph(9, 20, seed=1)
+        first = qmkp(graph, 2, rng=np.random.default_rng(0))
+        assert first.qtkp_calls > 1
+        assert len(builds) == 1
+        # No process-global memo: a second cold run pays its own build.
+        second = qmkp(graph, 2, rng=np.random.default_rng(0))
+        assert len(builds) == 2
+        assert second.gate_units == first.gate_units
+
+    def test_caller_kept_cache_shares_the_memo(self, builds):
+        graph = gnm_random_graph(9, 20, seed=1)
+        cache = MarkedSetCache()
+        qmkp(graph, 2, rng=np.random.default_rng(0), cache=cache)
+        qmkp(graph, 2, rng=np.random.default_rng(1), cache=cache)
+        assert len(builds) == 1
+
+    def test_uncached_run_builds_every_probe(self, builds):
+        graph = gnm_random_graph(9, 20, seed=1)
+        result = qmkp(graph, 2, rng=np.random.default_rng(0), use_cache=False)
+        assert len(builds) == result.qtkp_calls
+
+    def test_memo_kept_only_beside_a_table(self):
+        graph = gnm_random_graph(7, 10, seed=1)
+        cache = MarkedSetCache()
+        built = []
+
+        def build():
+            built.append(1)
+            return "costs"
+
+        assert cache.oracle_costs(graph, 2, build) == "costs"
+        cache.oracle_costs(graph, 2, build)
+        assert len(built) == 2  # no table for (graph, 2): nothing kept
+        cache.table(graph, 2)
+        cache.oracle_costs(graph, 2, build)
+        cache.oracle_costs(graph, 2, build)
+        assert len(built) == 3
+
+    def test_memo_evicted_with_its_table(self, builds):
+        a, b = gnm_random_graph(7, 10, seed=1), gnm_random_graph(7, 12, seed=2)
+        cache = MarkedSetCache(max_entries=1)
+        qtkp(a, 2, 3, rng=0, cache=cache)
+        qtkp(a, 2, 4, rng=0, cache=cache)
+        assert len(builds) == 1
+        qtkp(b, 2, 3, rng=0, cache=cache)  # evicts a's table and memo
+        qtkp(a, 2, 3, rng=0, cache=cache)
+        assert len(builds) == 3
 
 
 class TestSubsetSearchCache:

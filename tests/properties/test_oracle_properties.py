@@ -9,9 +9,11 @@ U_check circuit — executed gate by gate — computes exactly the
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import qtkp
 from repro.core.oracle import KCplexOracle
 from repro.graphs import Graph
 from repro.kplex import is_kplex
+from repro.perf import MarkedSetCache
 
 
 @st.composite
@@ -53,3 +55,17 @@ class TestOracleFaithfulness:
         costs = oracle.component_costs()
         # U_check gates doubled plus the single mark equals the phase oracle.
         assert costs.total == oracle.phase_oracle_circuit().num_gates
+
+    @given(oracle_instances(max_n=7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_costs_equal_full_build(self, instance, data):
+        """Probes sharing a cache price every threshold from one circuit."""
+        g, k, _ = instance
+        cache = MarkedSetCache()
+        thresholds = data.draw(
+            st.lists(st.integers(1, g.num_vertices), min_size=2, max_size=4)
+        )
+        for threshold in thresholds:
+            result = qtkp(g, k, threshold, rng=0, cache=cache)
+            full = KCplexOracle(g.complement(), k, threshold).component_costs()
+            assert result.oracle_costs == full

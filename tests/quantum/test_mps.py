@@ -130,6 +130,31 @@ class TestAgreementWithDense:
         assert mps.truncation_error == pytest.approx(0.0)
 
 
+class TestSvdFallback:
+    def test_gesdd_failure_retried_with_gesvd(self, monkeypatch):
+        """A split whose default SVD fails yields the same state via gesvd."""
+        qc = QuantumCircuit(5)
+        for q in range(5):
+            qc.h(q)
+        qc.ccx(0, 3, 1)
+        qc.cx(4, 0)
+        qc.mcx([0, 1, 2], 4)
+        expected = simulate_mps(qc)
+
+        failures = []
+
+        def gesdd_fails(*args, **kwargs):
+            failures.append(args[0].shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
+        forced = simulate_mps(qc)
+        assert failures
+        assert forced.bond_dimensions == expected.bond_dimensions
+        for b in range(1 << 5):
+            assert forced.amplitude(b) == pytest.approx(expected.amplitude(b), abs=1e-12)
+
+
 class TestMarginals:
     def test_marginal_matches_dense(self):
         qc = QuantumCircuit(4)
