@@ -27,7 +27,16 @@ The harness **gates on correctness, not just speed**:
   :mod:`repro.perf.kernels`) must produce a fingerprint-identical
   sampleset, and the fastest compiled tier must clear
   ``--min-kernel-speedup`` over the NumPy reference end-to-end
-  (skipped when only numpy is available).
+  (skipped when only numpy is available);
+* the **QPU arm** times one cold logical-mode QPU solve — fresh
+  :class:`repro.annealing.SimulatedQPUSampler`, embedding search,
+  1000 shots of 1 us, sampleset validation — on the paper's D_20_100
+  QUBO at k = 3 (the Table V cell the end-to-end ``qamkp-anneal``
+  workload spends most on), against a transcription of the path it
+  replaced: a freshly built chip per call, greedy roots from a full
+  radius-24 BFS, per-shot state rows, dict-per-shot ``from_states``
+  and per-row validation.  The validated samplesets, validation
+  reports and ``info`` must be identical.
 
 The kernel block times the *representative qaMKP regime* — the paper's
 runtime-budgeted SA uses ~10 reads x 2 sweeps per shot, where the
@@ -45,18 +54,43 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
+import random
 import sys
 import time
+from collections import deque
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from repro.annealing import SimulatedAnnealingSampler, batched_tabu
-from repro.annealing.sampleset import SampleSet
+from repro.annealing import (
+    Embedding,
+    EmbeddingError,
+    SimulatedAnnealingSampler,
+    SimulatedQPUSampler,
+    batched_tabu,
+    chimera_graph,
+    clique_embedding,
+    suggest_chain_strength,
+)
+from repro.annealing.embedding import (
+    _BFS_RADIUS,
+    _chains_touch,
+    _connect,
+    _seed_qubit,
+    _walk_back,
+)
+from repro.annealing.embedding_cm import find_embedding_cm
+from repro.annealing.sampleset import Sample, SampleSet
 from repro.core.qubo_formulation import build_mkp_qubo
+from repro.datasets.paper_instances import ANNEALING_INSTANCES
 from repro.graphs import gnm_random_graph
+from repro.resilience import validate_sampleset
+
+#: The QPU arm's cell: instance, k, shots, annealing time per shot.
+QPU_INSTANCE, QPU_K, QPU_READS, QPU_DT_US = "D_20_100", 3, 1000, 1.0
 
 # ----------------------------------------------------------------------
 # Seed transcriptions (the pre-engine sampler, verbatim semantics)
@@ -147,6 +181,197 @@ def seed_tabu_best(bqm, initial, iterations, tenure):
 
 
 # ----------------------------------------------------------------------
+# Pre-matrix QPU path transcription (logical mode, default sampler)
+# ----------------------------------------------------------------------
+
+
+def _seed_bfs_from_chain(hardware, chain, used):
+    dist, parent = {}, {}
+    queue = deque()
+    for q in chain:
+        for w in hardware.adjacency[q]:
+            if w not in used and w not in dist:
+                dist[w] = 1
+                parent[w] = None
+                queue.append(w)
+    while queue:
+        q = queue.popleft()
+        if dist[q] >= _BFS_RADIUS:
+            continue
+        for w in hardware.adjacency[q]:
+            if w not in used and w not in dist:
+                dist[w] = dist[q] + 1
+                parent[w] = q
+                queue.append(w)
+    return dist, parent
+
+
+def _seed_try_embed(variables, logical_edges, hardware, rng):
+    """Greedy chain growth rooting each chain at the nearest BFS qubit."""
+    neighbours = {v: set() for v in variables}
+    for u, v in logical_edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    order = sorted(variables, key=lambda v: (-len(neighbours[v]), str(v)))
+    if rng.random() < 0.5 and len(order) > 2:
+        i, jdx = rng.randrange(len(order)), rng.randrange(len(order))
+        order[i], order[jdx] = order[jdx], order[i]
+    chains, used = {}, set()
+    for var in order:
+        placed = [w for w in sorted(neighbours[var], key=str) if w in chains]
+        placed.sort(key=lambda w: len(chains[w]))
+        if not placed:
+            root = _seed_qubit(hardware, used, rng)
+            chains[var] = {root}
+            used.add(root)
+            continue
+        dist, parent = _seed_bfs_from_chain(hardware, chains[placed[0]], used)
+        if not dist:
+            raise EmbeddingError(f"chain of first neighbour of {var!r} is walled in")
+        root = min(dist, key=dist.get)
+        chain = {root} | _walk_back(root, parent)
+        for w in placed[1:]:
+            if _chains_touch(hardware, chain, chains[w]):
+                continue
+            path = _connect(hardware, chain, chains[w], used)
+            if path is None:
+                raise EmbeddingError(f"cannot route {var!r} to its neighbour {w!r}")
+            chain |= path
+        chains[var] = chain
+        used.update(chain)
+    return chains
+
+
+def _seed_find_embedding(variables, logical_edges, hardware, seed, max_tries=5):
+    rng = random.Random(seed)
+    for _ in range(max_tries):
+        try:
+            chains = _seed_try_embed(
+                list(variables), list(logical_edges), hardware, rng
+            )
+        except EmbeddingError:
+            continue
+        emb = Embedding({v: tuple(sorted(c)) for v, c in chains.items()}, hardware)
+        emb.validate(logical_edges)
+        return emb
+    if len(variables) <= 60 or len(logical_edges) <= 6 * max(1, len(variables)):
+        try:
+            return find_embedding_cm(
+                variables, logical_edges, hardware, seed=seed, max_tries=2
+            )
+        except EmbeddingError:
+            pass
+    emb = clique_embedding(variables, hardware)
+    emb.validate(logical_edges)
+    return emb
+
+
+def _seed_validate(sampleset, bqm, energy_tol=1e-6):
+    """Per-row validation: one dict walk and one ``bqm.energy`` per row."""
+    report = {"total_rows": 0, "kept_rows": 0, "quarantined_rows": 0,
+              "repaired_energies": 0, "reasons": {}}
+    variables = bqm.variables
+    kept = []
+    for sample in sampleset.samples:
+        report["total_rows"] += sample.num_occurrences
+        defect = None
+        for v in variables:
+            if v not in sample.assignment:
+                defect = "missing_variable"
+                break
+            x = sample.assignment[v]
+            if isinstance(x, float) and not math.isfinite(x):
+                defect = "non_finite_value"
+                break
+            if x not in (0, 1):
+                defect = "non_binary_value"
+                break
+        if defect is not None:
+            report["quarantined_rows"] += sample.num_occurrences
+            report["reasons"][defect] = report["reasons"].get(defect, 0) + 1
+            continue
+        energy = sample.energy
+        true_energy = bqm.energy(sample.assignment)
+        if not math.isfinite(energy) or abs(energy - true_energy) > energy_tol:
+            reason = ("non_finite_energy" if not math.isfinite(energy)
+                      else "inconsistent_energy")
+            report["repaired_energies"] += sample.num_occurrences
+            report["reasons"][reason] = report["reasons"].get(reason, 0) + 1
+            sample = Sample(sample.assignment, true_energy, sample.num_occurrences)
+        kept.append(sample)
+        report["kept_rows"] += sample.num_occurrences
+    out = SampleSet(kept, dict(sampleset.info))
+    if report["quarantined_rows"] or report["repaired_energies"]:
+        out.info["validation"] = report
+    return out, report
+
+
+def seed_qpu_solve(bqm, num_reads, seed):
+    """The pre-matrix logical-mode QPU call plus validation, end to end.
+
+    Mirrors ``SimulatedQPUSampler().sample(..., mode="logical")`` with
+    the default sampler parameters, rebuilding every chip it touches
+    (``chimera_graph.__wrapped__`` is the un-memoised builder).
+    """
+    build_chimera = chimera_graph.__wrapped__
+    rng = np.random.default_rng(seed)
+    edges = bqm.interaction_graph_edges()
+    try:
+        emb = _seed_find_embedding(bqm.variables, edges, build_chimera(16), seed)
+        expanded = False
+    except EmbeddingError:
+        m_needed = max(1, -(-len(bqm.variables) // 4))
+        emb = clique_embedding(bqm.variables, build_chimera(m_needed, 4))
+        expanded = True
+    strength = suggest_chain_strength(bqm.linear, bqm.quadratic)
+    sweeps = max(1, int(round(QPU_DT_US * 2.0)))
+    order = bqm.variables
+    break_probs = np.array(
+        [1.0 - (1.0 - 0.03) ** (len(emb.chains[v]) - 1) for v in order]
+    )
+    raw = SimulatedAnnealingSampler().sample(
+        bqm, num_reads=num_reads, num_sweeps=sweeps, seed=seed + 1
+    )
+    states = []
+    for sample in raw.samples:
+        for _ in range(sample.num_occurrences):
+            states.append([sample.assignment[v] for v in order])
+    states = np.array(states, dtype=float)
+    breaks = rng.random(states.shape) < break_probs[None, :]
+    random_bits = rng.integers(0, 2, size=states.shape)
+    states = np.where(breaks, random_bits, states)
+    energies = bqm.energies(states, order)
+    assignments = [
+        {v: int(states[r, c]) for c, v in enumerate(order)}
+        for r in range(states.shape[0])
+    ]
+    result = SampleSet.from_states(assignments, energies.tolist())
+    result.info["chain_break_fraction"] = float(breaks.mean())
+    result.info.update({
+        "annealing_time_us": QPU_DT_US,
+        "num_reads": num_reads,
+        "total_runtime_us": QPU_DT_US * num_reads,
+        "sweeps_per_read": sweeps,
+        "chain_strength": strength,
+        "average_chain_length": emb.average_chain_length,
+        "num_physical_qubits": emb.num_physical_qubits,
+        "execution_mode": "logical",
+        "hardware_expanded": expanded,
+    })
+    return _seed_validate(result, bqm)
+
+
+def qpu_solve(bqm, num_reads, seed):
+    """The current logical-mode QPU call plus validation (cold sampler)."""
+    sampleset = SimulatedQPUSampler().sample(
+        bqm, annealing_time_us=QPU_DT_US, num_reads=num_reads,
+        seed=seed, mode="logical",
+    )
+    clean, report = validate_sampleset(sampleset, bqm)
+    return clean, report.as_dict()
+
+
+# ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
 
@@ -156,6 +381,17 @@ def fingerprint(sampleset) -> list:
         (tuple(sorted(s.assignment.items())), s.energy, s.num_occurrences)
         for s in sampleset.samples
     ]
+
+
+def qpu_fingerprint(result) -> tuple:
+    """A validated QPU result exactly: rows in order with their variable
+    order and value types, energy bits, counts, info and report."""
+    clean, report = result
+    rows = [
+        (repr(dict(s.assignment)), float(s.energy).hex(), s.num_occurrences)
+        for s in clean.samples
+    ]
+    return rows, repr(sorted(clean.info.items())), repr(report)
 
 
 def _best_of(repeat, fn):
@@ -333,6 +569,36 @@ def main(argv: list[str] | None = None) -> int:
             f"batched tabu best {batched.best_energy} worse than seed {seed_best}"
         )
 
+    # QPU arm: cold logical-mode solve vs the pre-matrix transcription.
+    qpu_bqm = build_mkp_qubo(ANNEALING_INSTANCES[QPU_INSTANCE].build(), QPU_K).bqm
+    qpu_s, qpu_result = _best_of(
+        args.repeat, lambda: qpu_solve(qpu_bqm, QPU_READS, args.sample_seed)
+    )
+    seed_qpu_s, seed_qpu_result = _best_of(
+        args.repeat, lambda: seed_qpu_solve(qpu_bqm, QPU_READS, args.sample_seed)
+    )
+    qpu_identical = qpu_fingerprint(qpu_result) == qpu_fingerprint(seed_qpu_result)
+    if not qpu_identical:
+        failures.append("QPU sampleset diverged from the pre-matrix transcription")
+    qpu_clean, qpu_report = qpu_result
+    qpu_block = {
+        "instance": QPU_INSTANCE,
+        "k": QPU_K,
+        "num_variables": qpu_bqm.num_variables,
+        "mode": "logical",
+        "reads": QPU_READS,
+        "annealing_time_us": QPU_DT_US,
+        "current_s": round(qpu_s, 4),
+        "seed_s": round(seed_qpu_s, 4),
+        "speedup": round(seed_qpu_s / qpu_s, 2),
+        "identical_samplesets": qpu_identical,
+        "best_energy": qpu_clean.lowest_energy,
+        "unique_rows": len(qpu_clean.samples),
+        "num_physical_qubits": qpu_clean.info["num_physical_qubits"],
+        "hardware_expanded": qpu_clean.info["hardware_expanded"],
+        "validation_rows": qpu_report["total_rows"],
+    }
+
     trace_block = None
     if args.trace is not None:
         from repro.obs import RunLedger, Tracer
@@ -425,6 +691,7 @@ def main(argv: list[str] | None = None) -> int:
             "equal_or_better": tabu_ok,
         },
         "kernels": kernel_block,
+        "qpu": qpu_block,
         "trace": trace_block,
     }
 
@@ -432,6 +699,10 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps({"sa": report["sa"], "tabu": report["tabu"]}, indent=2))
     print(f"identical={identical} speedup={speedup:.2f}x tabu_ok={tabu_ok} -> {out}")
+    print(
+        f"qpu: identical={qpu_identical} speedup={qpu_block['speedup']:.2f}x "
+        f"({seed_qpu_s:.3f}s -> {qpu_s:.3f}s)"
+    )
     if trace_block is not None:
         print(
             f"trace: verified={trace_block['verified']} "

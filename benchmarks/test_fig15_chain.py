@@ -9,7 +9,8 @@ Our Chimera-family topologies are sparser than Pegasus, so chain
 lengths are larger in absolute terms (see EXPERIMENTS.md); the asserted
 shapes are the paper's: variable count within the O(n log n) envelope,
 physical qubits growing super-linearly relative to variables, and
-monotone non-decreasing chain length.
+monotone non-decreasing chain length.  Embeddings use a fixed seed so
+the rows repeat from run to run.
 """
 
 import math
@@ -31,7 +32,7 @@ def test_fig15_chain_growth(benchmark):
         sampler = SimulatedQPUSampler(
             hardware=chimera_graph(16), max_call_time_us=None
         )
-        return sampler.embed(model.bqm)
+        return sampler.embed(model.bqm, seed=0)
 
     benchmark(embed_one)
 
@@ -40,7 +41,7 @@ def test_fig15_chain_growth(benchmark):
     for n in SIZES:
         g = chain_experiment_graph(n)
         model = build_mkp_qubo(g, 3)
-        emb = qpu.embed(model.bqm)
+        emb = qpu.embed(model.bqm, seed=0)
         variables.append(model.num_variables)
         physical.append(emb.num_physical_qubits)
         chains.append(emb.average_chain_length)

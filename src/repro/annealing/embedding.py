@@ -8,9 +8,12 @@ two chains.
 
 Finding minimum embeddings is NP-hard; like the paper we use a greedy
 heuristic in the spirit of Cai, Macready & Roy (2014): place variables
-in descending interaction-degree order, and for each one grow its chain
-from a root qubit chosen to minimise the total BFS distance to the
-chains of its already-placed neighbours, annexing the connecting paths.
+in descending interaction-degree order.  A variable with no placed
+neighbour starts next to the used region; otherwise its chain starts as
+one free qubit adjacent to its smallest placed-neighbour chain and
+annexes the shortest free path to each remaining placed neighbour.
+When greedy fails, a congestion-based router and then the Chimera
+clique template take over (:func:`find_embedding`).
 
 (Terminology note: the paper calls the average number of physical
 qubits per variable the "chain strength"; the standard term is *chain
@@ -214,20 +217,26 @@ def _try_embed(
             chains[var] = {root}
             used.add(root)
             continue
-        # Seed the new chain next to the first (smallest) neighbour
-        # chain, then snake it towards each remaining neighbour in
-        # turn, annexing the connecting free path.  Letting the chain
-        # grow incrementally succeeds where demanding a single root
-        # reachable from *all* neighbours at once fails.
-        dist, parent = _bfs_from_chain(
-            hardware, chains[placed[0]], used, max_dist=_BFS_RADIUS
+        # Seed the new chain on the first free qubit next to the first
+        # (smallest) neighbour chain, then snake it towards each
+        # remaining neighbour in turn, annexing the connecting free
+        # path.  Letting the chain grow incrementally succeeds where
+        # demanding a single root reachable from *all* neighbours at
+        # once fails.
+        root = next(
+            (
+                w
+                for q in chains[placed[0]]
+                for w in hardware.adjacency[q]
+                if w not in used
+            ),
+            None,
         )
-        if not dist:
+        if root is None:
             raise EmbeddingError(
                 f"chain of first neighbour of {var!r} is walled in"
             )
-        root = min(dist, key=dist.get)
-        chain = {root} | _walk_back(root, parent)
+        chain = {root}
         for w in placed[1:]:
             if _chains_touch(hardware, chain, chains[w]):
                 continue
@@ -338,39 +347,6 @@ def _seed_qubit(hardware: HardwareGraph, used: set[int], rng: random.Random) -> 
 #: BFS horizon for chain growth; compact layouts never need paths this
 #: long, and capping the search keeps embedding near-linear in practice.
 _BFS_RADIUS = 24
-
-
-def _bfs_from_chain(
-    hardware: HardwareGraph,
-    chain: set[int],
-    used: set[int],
-    max_dist: int | None = None,
-) -> tuple[dict[int, int], dict[int, int | None]]:
-    """BFS over free qubits started at the frontier of ``chain``.
-
-    Returns ``(dist, parent)``; frontier qubits (free, adjacent to the
-    chain) have distance 1 and parent ``None``.  ``max_dist`` bounds the
-    search horizon.
-    """
-    dist: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for q in chain:
-        for w in hardware.adjacency[q]:
-            if w not in used and w not in dist:
-                dist[w] = 1
-                parent[w] = None
-                queue.append(w)
-    while queue:
-        q = queue.popleft()
-        if max_dist is not None and dist[q] >= max_dist:
-            continue
-        for w in hardware.adjacency[q]:
-            if w not in used and w not in dist:
-                dist[w] = dist[q] + 1
-                parent[w] = q
-                queue.append(w)
-    return dist, parent
 
 
 def _walk_back(root: int, parent: dict[int, int | None]) -> set[int]:

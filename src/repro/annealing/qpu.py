@@ -150,7 +150,9 @@ class SimulatedQPUSampler:
         self.max_call_time_us = max_call_time_us
         self.physical_qubit_budget = physical_qubit_budget
         self.allow_hardware_expansion = allow_hardware_expansion
-        self._embedding_cache: dict[int, tuple[Embedding, bool]] = {}
+        self._embedding_cache: dict[
+            tuple[frozenset, frozenset], tuple[Embedding, bool]
+        ] = {}
 
     def max_reads(self, annealing_time_us: float) -> int | None:
         """Largest ``num_reads`` the per-call cap admits (None = no cap)."""
@@ -168,19 +170,14 @@ class SimulatedQPUSampler:
     def _embed_with_flag(
         self, bqm: BinaryQuadraticModel, seed: int | None = None
     ) -> tuple[Embedding, bool]:
-        key = hash(
-            (
-                tuple(sorted(map(str, bqm.variables))),
-                tuple(sorted((str(u), str(v)) for u, v in bqm.interaction_graph_edges())),
-            )
-        )
+        edges = bqm.interaction_graph_edges()
+        # The exact structure an embedding depends on: the variable set
+        # and the unordered edge set.
+        key = (frozenset(bqm.variables), frozenset(map(frozenset, edges)))
         if key not in self._embedding_cache:
             try:
                 emb = find_embedding(
-                    bqm.variables,
-                    bqm.interaction_graph_edges(),
-                    self.hardware,
-                    seed=seed,
+                    bqm.variables, edges, self.hardware, seed=seed
                 )
                 expanded = False
             except EmbeddingError:
@@ -205,7 +202,9 @@ class SimulatedQPUSampler:
         """Anneal ``num_reads`` shots of ``annealing_time_us`` each.
 
         ``num_spin_reversal_transforms`` splits the shots across random
-        gauge transforms: each block flips a random subset of variables
+        gauge transforms (at most ``num_reads`` blocks, the remainder
+        spread over the first ones, so exactly ``num_reads`` shots are
+        taken): each block flips a random subset of variables
         (``x -> 1 - x``, adjusting biases so energies are unchanged),
         samples, and flips back.  This is the standard D-Wave technique
         for averaging out bias-leakage control errors; it only affects
@@ -278,8 +277,8 @@ class SimulatedQPUSampler:
         mode: str,
         num_gauges: int,
     ) -> SampleSet:
-        blocks = max(1, num_gauges)
-        reads_per_block = max(1, num_reads // blocks)
+        blocks = min(max(1, num_gauges), num_reads)
+        base_reads, extra_reads = divmod(num_reads, blocks)
         all_samples: list = []
         break_fractions: list[float] = []
         for block in range(blocks):
@@ -288,6 +287,7 @@ class SimulatedQPUSampler:
             }
             gauged = _gauge_transform(bqm, flips)
             block_seed = None if seed is None else seed + 7 * block
+            reads_per_block = base_reads + 1 if block < extra_reads else base_reads
             if mode == "physical":
                 raw = self._sample_physical(
                     gauged, emb, strength, sweeps, reads_per_block, rng, block_seed
@@ -432,19 +432,12 @@ class SimulatedQPUSampler:
             num_sweeps=sweeps,
             seed=None if seed is None else seed + 1,
         )
-        states = []
-        for sample in raw.samples:
-            for _ in range(sample.num_occurrences):
-                states.append([sample.assignment[v] for v in order])
-        states = np.array(states, dtype=float)
+        # One row per shot, in the order the set lists its samples: the
+        # chain-break draws below are made over the rows in that order.
+        states = raw.state_matrix(order)
         breaks = rng.random(states.shape) < break_probs[None, :]
         random_bits = rng.integers(0, 2, size=states.shape)
-        states = np.where(breaks, random_bits, states)
-        energies = bqm.energies(states, order)
-        assignments = [
-            {v: int(states[r, c]) for c, v in enumerate(order)}
-            for r in range(states.shape[0])
-        ]
-        out = SampleSet.from_states(assignments, energies.tolist())
+        states = np.where(breaks, random_bits, states).astype(np.int8)
+        out = SampleSet.from_matrix(order, states, bqm.energies(states))
         out.info["chain_break_fraction"] = float(breaks.mean())
         return out

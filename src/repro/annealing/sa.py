@@ -30,7 +30,7 @@ from ..perf.anneal import (
     sa_sweep,
 )
 from .bqm import BinaryQuadraticModel
-from .sampleset import RowAssignment, SampleSet
+from .sampleset import SampleSet
 
 __all__ = ["SimulatedAnnealingSampler"]
 
@@ -178,21 +178,7 @@ class SimulatedAnnealingSampler:
                 )
             span.claim("anneal_sweeps", num_sweeps)
             span.claim("anneal_flips", total_flips)
-        # Merge duplicate replicas *before* building any Python dicts:
-        # unique-by-row-bytes is a faithful dedup key (every row shares
-        # ``order``), matching ``from_states``' grouping at a fraction
-        # of its cost — restoring first-seen order and keeping first-row
-        # energies preserves the resulting set exactly.
-        row_bytes = states.view(np.dtype((np.void, states.shape[1]))).ravel()
-        _, first_idx, counts = np.unique(
-            row_bytes, return_index=True, return_counts=True
-        )
-        perm = np.argsort(first_idx, kind="stable")
-        firsts = first_idx[perm]
-        assignments = [RowAssignment(order, row) for row in states[firsts]]
-        result = SampleSet.from_counts(
-            assignments, energies[firsts].tolist(), counts[perm].tolist()
-        )
+        result = SampleSet.from_matrix(order, states, energies)
         result.info.update(
             {
                 "num_reads": num_reads,

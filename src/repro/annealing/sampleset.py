@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-__all__ = ["RowAssignment", "Sample", "SampleSet"]
+import numpy as np
+
+__all__ = ["RowAssignment", "Sample", "SampleSet", "matrix_rows"]
 
 
 class RowAssignment(Mapping):
@@ -33,6 +35,16 @@ class RowAssignment(Mapping):
         self._order = order
         self._row = row
         self._dict: dict | None = None
+
+    @property
+    def order(self) -> Sequence[object]:
+        """The shared variable order the row is laid out over."""
+        return self._order
+
+    @property
+    def row(self) -> Sequence[int]:
+        """The raw state row (not copied)."""
+        return self._row
 
     def _materialise(self) -> dict:
         d = self._dict
@@ -67,6 +79,38 @@ class RowAssignment(Mapping):
 
     def __repr__(self) -> str:
         return repr(self._materialise())
+
+
+def matrix_rows(
+    samples: Sequence["Sample"], order: Sequence[object]
+) -> dict[int, np.ndarray]:
+    """Sample index -> integer state row, for rows laid out over ``order``.
+
+    Covers every sample whose assignment is a :class:`RowAssignment`
+    over exactly ``order`` with a 1-D integer row of matching length —
+    what the built-in samplers produce.  Other samples (plain dicts,
+    other layouts, non-integer rows) are left out for per-row handling.
+    """
+    order = list(order)
+    same_order: dict[int, bool] = {}
+    rows: dict[int, np.ndarray] = {}
+    for i, sample in enumerate(samples):
+        view = sample.assignment
+        if not isinstance(view, RowAssignment):
+            continue
+        # Every view of one sampler call shares one order object.
+        key = id(view.order)
+        if key not in same_order:
+            same_order[key] = list(view.order) == order
+        row = view.row
+        if (
+            same_order[key]
+            and isinstance(row, np.ndarray)
+            and row.shape == (len(order),)
+            and row.dtype.kind in "biu"
+        ):
+            rows[i] = row
+    return rows
 
 
 @dataclass(frozen=True)
@@ -167,6 +211,58 @@ class SampleSet:
             for assignment, energy, count in zip(assignments, energies, counts)
         ]
         return cls(samples, info or {})
+
+    @classmethod
+    def from_matrix(
+        cls,
+        order: Sequence[object],
+        states: np.ndarray,
+        energies: np.ndarray,
+        info: dict[str, object] | None = None,
+    ) -> "SampleSet":
+        """Merge the duplicate rows of a state matrix into a sample set.
+
+        ``states`` is a C-contiguous int8 ``(rows, len(order))`` matrix
+        and ``energies`` its per-row energies.  Rows are grouped by raw
+        bytes (a faithful key: every row shares ``order``) in first-seen
+        order, each group keeping its first row's energy — the set
+        :meth:`from_states` builds from one dict per row, without any
+        dict: samples hold :class:`RowAssignment` views into ``states``.
+        """
+        width = states.shape[1]
+        keys = (
+            states.view(np.dtype((np.void, width))).ravel()
+            if width
+            else np.zeros(len(states), dtype=np.int8)  # all rows equal
+        )
+        _, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
+        perm = np.argsort(first_idx, kind="stable")
+        firsts = first_idx[perm]
+        return cls.from_counts(
+            [RowAssignment(order, row) for row in states[firsts]],
+            np.asarray(energies)[firsts].tolist(),
+            counts[perm].tolist(),
+            info,
+        )
+
+    def state_matrix(self, order: Sequence[object]) -> np.ndarray:
+        """One int8 row per shot over ``order``, in sample order.
+
+        Each sample contributes ``num_occurrences`` copies of its row:
+        the rows a per-shot loop over the set visits, in that order.
+        Row views over ``order`` are copied as they are; other
+        assignments are read variable by variable.
+        """
+        order = list(order)
+        views = matrix_rows(self.samples, order)
+        rows = [
+            views[i] if i in views else [s.assignment[v] for v in order]
+            for i, s in enumerate(self.samples)
+        ]
+        unique = np.array(rows, dtype=np.int8).reshape(len(rows), len(order))
+        return np.repeat(
+            unique, [s.num_occurrences for s in self.samples], axis=0
+        )
 
     def truncate(self, count: int) -> "SampleSet":
         """The ``count`` lowest-energy samples as a new set."""

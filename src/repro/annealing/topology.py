@@ -8,11 +8,16 @@ cells with inter-cell couplers, which is structurally faithful to
 D-Wave hardware while staying easy to reason about, plus a denser
 Pegasus-like variant obtained by augmenting Chimera with extra odd
 couplers (higher degree => shorter chains, as on real Advantage chips).
+
+Both builders are memoised per process by ``(m, t)``: a
+:class:`HardwareGraph` is frozen, so every sampler and clique-template
+fallback on the same chip shares one instance instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = ["HardwareGraph", "chimera_graph", "pegasus_like_graph"]
 
@@ -65,6 +70,13 @@ def _build(
     )
 
 
+#: Distinct ``(m, t)`` chips kept per topology family.  A C16 holds
+#: about 0.5 MB of adjacency, a C55 (the clique template for ~220
+#: variables) about 7 MB.
+_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def chimera_graph(m: int, t: int = 4) -> HardwareGraph:
     """Chimera C_m with shore size ``t``: ``m*m`` cells of ``K_{t,t}``.
 
@@ -97,6 +109,7 @@ def chimera_graph(m: int, t: int = 4) -> HardwareGraph:
     return _build(2 * t * m * m, edges, f"chimera_C{m}(t={t})", m, t)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def pegasus_like_graph(m: int, t: int = 4) -> HardwareGraph:
     """A Pegasus-flavoured topology: Chimera C_m plus odd couplers.
 

@@ -126,6 +126,28 @@ class TestSampling:
         second = qpu.embed(bqm, seed=99)  # cache hit ignores the new seed
         assert first is second
 
+    def test_embedding_cache_keys_on_exact_labels(self):
+        # Labels 1, 2 and '1', '2' print alike; each model needs its own
+        # embedding, keyed by its own variables.
+        sampler = SimulatedQPUSampler(hardware=chimera_graph(2), max_call_time_us=None)
+        ints = BinaryQuadraticModel({1: -1.0, 2: -1.0}, {(1, 2): 2.0})
+        strs = BinaryQuadraticModel({"1": -1.0, "2": -1.0}, {("1", "2"): 2.0})
+        assert set(sampler.embed(ints, seed=0).chains) == {1, 2}
+        assert set(sampler.embed(strs, seed=0).chains) == {"1", "2"}
+        ss = sampler.sample(strs, annealing_time_us=1, num_reads=4, seed=0)
+        assert set(ss.first.assignment) == {"1", "2"}
+
+    def test_embedding_cache_ignores_edge_orientation_and_order(self):
+        sampler = SimulatedQPUSampler(hardware=chimera_graph(2), max_call_time_us=None)
+        forward = BinaryQuadraticModel({"a": 1.0, "b": 1.0, "c": 1.0},
+                                       {("a", "b"): 1.0, ("b", "c"): 1.0})
+        backward = BinaryQuadraticModel({"c": 2.0, "b": 0.5, "a": 3.0},
+                                        {("c", "b"): -1.0, ("b", "a"): 4.0})
+        assert sampler.embed(forward, seed=0) is sampler.embed(backward, seed=1)
+        chain = BinaryQuadraticModel({"a": 1.0, "b": 1.0, "c": 1.0},
+                                     {("a", "c"): 1.0, ("b", "c"): 1.0})
+        assert sampler.embed(chain, seed=0) is not sampler.embed(forward, seed=0)
+
     def test_logical_energies_reported(self, qpu):
         """Reported energies are of the LOGICAL model, not the embedded one."""
         bqm = _toy_bqm()
@@ -170,6 +192,19 @@ class TestSpinReversalTransforms:
         assert ss.lowest_energy == pytest.approx(-3.0)
         assert ss.info["num_spin_reversal_transforms"] == 4
 
+    @pytest.mark.parametrize("mode", ["logical", "physical"])
+    @pytest.mark.parametrize(
+        "num_reads,gauges", [(10, 3), (7, 2), (2, 3), (1, 4), (9, 3), (5, 5)]
+    )
+    def test_takes_exactly_num_reads_shots(self, qpu, num_reads, gauges, mode):
+        ss = qpu.sample(
+            _toy_bqm(), annealing_time_us=2, num_reads=num_reads, seed=0,
+            mode=mode, num_spin_reversal_transforms=gauges,
+        )
+        assert len(ss) == num_reads
+        assert ss.info["num_reads"] == num_reads
+        assert ss.info["num_spin_reversal_transforms"] == min(gauges, num_reads)
+
     def test_energies_reported_in_original_frame(self, qpu):
         bqm = _toy_bqm()
         ss = qpu.sample(
@@ -178,3 +213,23 @@ class TestSpinReversalTransforms:
         )
         for sample in ss:
             assert sample.energy == pytest.approx(bqm.energy(sample.assignment))
+
+
+class TestColdSolves:
+    def test_each_cold_qamkp_call_runs_the_embedding_search(self):
+        # Only hardware graphs are memoised: a fresh sampler per call
+        # means a fresh embedding search, whatever ran before.
+        from unittest import mock
+
+        from repro.annealing import qpu as qpu_module
+        from repro.core import qamkp
+        from repro.graphs import gnm_random_graph
+
+        graph = gnm_random_graph(8, 16, seed=1)
+        with mock.patch.object(
+            qpu_module, "find_embedding", wraps=qpu_module.find_embedding
+        ) as spy:
+            first = qamkp(graph, 2, runtime_us=20.0, solver="qpu", seed=5)
+            second = qamkp(graph, 2, runtime_us=20.0, solver="qpu", seed=5)
+        assert spy.call_count == 2
+        assert first.cost == second.cost and first.subset == second.subset

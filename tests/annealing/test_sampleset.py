@@ -1,8 +1,12 @@
 """Unit tests for SampleSet."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.annealing import Sample, SampleSet
+from repro.annealing import RowAssignment, Sample, SampleSet
+from repro.annealing.sampleset import matrix_rows
 
 
 class TestSample:
@@ -125,3 +129,70 @@ class TestFromCounts:
         ss = SampleSet.from_counts([{"a": 1}], [0.5], [7], info={"k": 2})
         assert len(ss) == 7
         assert ss.info == {"k": 2}
+
+
+class TestStateMatrix:
+    """``from_matrix`` and ``state_matrix``: the samplers' matrix form."""
+
+    ORDER = ("a", "b", "c")
+
+    @staticmethod
+    def _rows(ss):
+        return [(dict(s.assignment), s.energy, s.num_occurrences) for s in ss.samples]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=n, max_size=n),
+                st.lists(
+                    st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n
+                ),
+            )
+        )
+    )
+    def test_from_matrix_equals_from_states(self, data):
+        rows, energies = data
+        states = np.array(rows, dtype=np.int8).reshape(len(rows), 3)
+        via_matrix = SampleSet.from_matrix(self.ORDER, states, np.array(energies))
+        via_states = SampleSet.from_states(
+            [dict(zip(self.ORDER, map(int, row))) for row in rows], energies
+        )
+        assert self._rows(via_matrix) == self._rows(via_states)
+        assert all(isinstance(s.assignment, RowAssignment) for s in via_matrix)
+
+    def test_zero_width_rows_merge_into_one_sample(self):
+        ss = SampleSet.from_matrix((), np.zeros((4, 0), dtype=np.int8), np.full(4, 1.5))
+        assert self._rows(ss) == [({}, 1.5, 4)]
+        assert ss.state_matrix(()).shape == (4, 0)
+
+    def test_state_matrix_repeats_rows_in_sample_order(self):
+        ss = SampleSet([
+            Sample({"a": 1, "b": 0, "c": 1}, 2.0, num_occurrences=2),
+            Sample(RowAssignment(self.ORDER, np.array([0, 1, 1], np.int8)), -1.0),
+            Sample({"c": 0, "b": 0, "a": 1}, 0.0, num_occurrences=3),
+        ])
+        expected = [[0, 1, 1]] + [[1, 0, 0]] * 3 + [[1, 0, 1]] * 2
+        matrix = ss.state_matrix(self.ORDER)
+        assert matrix.dtype == np.int8
+        assert matrix.tolist() == expected
+        assert ss.state_matrix(("c", "b", "a")).tolist() == [r[::-1] for r in expected]
+
+    def test_round_trip(self):
+        states = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], dtype=np.int8)
+        ss = SampleSet.from_matrix(self.ORDER, states, np.array([1.0, 0.0, 1.0]))
+        assert ss.state_matrix(self.ORDER).tolist() == [[0, 0, 0], [1, 0, 1], [1, 0, 1]]
+
+    def test_matrix_rows_selects_integer_rows_over_the_order(self):
+        view = RowAssignment(self.ORDER, np.array([1, 0, 1], np.int8))
+        samples = [
+            Sample(view, 0.0),
+            Sample({"a": 1, "b": 0, "c": 1}, 0.0),
+            Sample(RowAssignment(("c", "b", "a"), np.array([1, 0, 1], np.int8)), 0.0),
+            Sample(RowAssignment(self.ORDER, [1, 0, 1]), 0.0),
+            Sample(RowAssignment(self.ORDER, np.array([1.0, 0.0, 1.0])), 0.0),
+            Sample(RowAssignment(self.ORDER, np.array([1, 0], np.int8)), 0.0),
+        ]
+        rows = matrix_rows(samples, list(self.ORDER))
+        assert list(rows) == [0]
+        assert rows[0] is view.row

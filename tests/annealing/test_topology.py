@@ -69,3 +69,27 @@ class TestPegasusLike:
 
     def test_metadata(self):
         assert pegasus_like_graph(4).grid_size == 4
+
+
+class TestMemo:
+    def test_same_parameters_share_one_graph(self):
+        assert chimera_graph(3) is chimera_graph(3)
+        assert chimera_graph(3, 2) is chimera_graph(3, 2)
+        assert pegasus_like_graph(3) is pegasus_like_graph(3)
+
+    def test_different_parameters_build_different_graphs(self):
+        assert chimera_graph(3) is not chimera_graph(4)
+        assert chimera_graph(3, 2) is not chimera_graph(3, 4)
+        assert pegasus_like_graph(3).num_couplers > chimera_graph(3).num_couplers
+
+    def test_shared_graph_is_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chimera_graph(2).num_qubits = 1
+        assert isinstance(chimera_graph(2).adjacency, tuple)
+
+    def test_invalid_parameters_still_raise(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                chimera_graph(0)
