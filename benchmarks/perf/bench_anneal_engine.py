@@ -23,9 +23,9 @@ The harness **gates on correctness, not just speed**:
   (zero drift, ``num_flips`` matching the spans' claims) and stay
   within the tracing-overhead limit;
 * the measured SA speedup must clear ``--min-speedup``;
-* every available kernel backend (numpy / numba / cext; see
+* every available kernel backend (numpy / cext; see
   :mod:`repro.perf.kernels`) must produce a fingerprint-identical
-  sampleset, and the fastest compiled tier must clear
+  sampleset, and the compiled tier must clear
   ``--min-kernel-speedup`` over the NumPy reference end-to-end
   (skipped when only numpy is available);
 * the **QPU arm** times one cold logical-mode QPU solve — fresh

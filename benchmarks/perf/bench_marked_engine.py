@@ -18,26 +18,21 @@ small graphs — and **exits non-zero on any mismatch or any divergence
 between cached and uncached qMKP results**, which is what the CI smoke
 job gates on.
 
-Two extension blocks (PR 7) ride on the same harness:
-
-* ``kernels`` — per-backend timing of the bit-parallel enumeration
-  sweep (:func:`repro.perf.bitparallel.kplex_masks`) through every
-  available kernel tier (numpy / numba / cext), gated on byte-identical
-  mask arrays and, when a compiled tier exists, on a minimum speedup
-  over the NumPy reference.  ``--enum-only`` restricts the run to this
-  block so the committed ``n >= 24`` baseline stays tractable (the
-  uncached qmkp at n = 24 scans 2^24 masks through the Python
-  predicate at every probe);
-* ``ladder`` — binary vs adaptive threshold ladder on a qmkp-feasible
-  companion instance (``--ladder-n``), gated on identical optima and
-  never-more probes.
+A ``kernels`` block rides on the same harness: per-backend timing of
+the bit-parallel enumeration sweep
+(:func:`repro.perf.bitparallel.kplex_masks`) through every available
+kernel tier (numpy / cext), gated on byte-identical mask arrays and,
+when the compiled tier exists, on a minimum speedup over the NumPy
+reference.  ``--enum-only`` restricts the run to this block so the
+committed ``n >= 24`` baseline stays tractable (the uncached qmkp at
+n = 24 scans 2^24 masks through the Python predicate at every probe).
 
 Emits ``BENCH_qmkp_n<n>_k<k>.json`` (override with ``--out``).  Run
 from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/bench_marked_engine.py --n 18 --edges 120
     PYTHONPATH=src python benchmarks/perf/bench_marked_engine.py \
-        --n 24 --enum-only --ladder-n 12 --repeat 3
+        --n 24 --enum-only --repeat 3
 """
 
 from __future__ import annotations
@@ -151,58 +146,6 @@ def kernel_comparison(graph, k, repeat: int, min_speedup: float) -> tuple[dict, 
     return block, failures
 
 
-def ladder_comparison(n: int, k: int, graph_seed: int, rng_seed: int) -> tuple[dict, list[str]]:
-    """Binary vs adaptive threshold ladder on a qmkp-feasible instance.
-
-    Gates on identical optimum sizes (both modes) and, under exact
-    counting, the adaptive ladder never using more qTKP probes; records
-    the probe / oracle-call / gate-unit savings per counting mode.
-    """
-    failures: list[str] = []
-    m = min(n * 5, n * (n - 1) // 2)
-    graph = gnm_random_graph(n, m, seed=graph_seed)
-    block: dict = {"n": n, "m": m, "k": k, "graph_seed": graph_seed, "modes": {}}
-    for counting in ("exact", "bbht"):
-        binary = qmkp(graph, k, counting=counting, rng=np.random.default_rng(rng_seed))
-        adaptive = qmkp(
-            graph, k, counting=counting, rng=np.random.default_rng(rng_seed),
-            ladder="adaptive",
-        )
-        mode = {
-            "optimum": binary.size,
-            "binary": {
-                "qtkp_calls": binary.qtkp_calls,
-                "oracle_calls": binary.oracle_calls,
-                "gate_units": binary.gate_units,
-            },
-            "adaptive": {
-                "qtkp_calls": adaptive.qtkp_calls,
-                "oracle_calls": adaptive.oracle_calls,
-                "gate_units": adaptive.gate_units,
-                "skipped_thresholds": adaptive.skipped_thresholds,
-            },
-            "probe_savings": binary.qtkp_calls - adaptive.qtkp_calls,
-            "oracle_savings": binary.oracle_calls - adaptive.oracle_calls,
-        }
-        block["modes"][counting] = mode
-        if adaptive.size != binary.size:
-            failures.append(
-                f"ladder[{counting}]: adaptive optimum {adaptive.size} != "
-                f"binary {binary.size}"
-            )
-        # Probe-count monotonicity is only guaranteed under deterministic
-        # exact counting: BBHT's ceiling carryover redraws the random
-        # iteration schedule, so an individual probe that succeeded under
-        # the binary ladder can fail under the adaptive one (the savings
-        # hold in aggregate, gated by tests/core/test_adaptive_ladder.py).
-        if counting == "exact" and adaptive.qtkp_calls > binary.qtkp_calls:
-            failures.append(
-                f"ladder[{counting}]: adaptive used more probes "
-                f"({adaptive.qtkp_calls} > {binary.qtkp_calls})"
-            )
-    return block, failures
-
-
 def predicate_agreement_sweep(instances: int, max_n: int = 7) -> dict:
     """Bit-parallel enumerator vs the oracle predicate, all (k, T)."""
     from repro.perf import MarkedSetCache
@@ -260,17 +203,12 @@ def main(argv: list[str] | None = None) -> int:
         "--enum-only", action="store_true",
         help="skip the full-qmkp timings (for n >= ~20, where the "
         "uncached per-probe predicate scan is intractable) and benchmark the "
-        "enumeration kernel tiers + ladder companion instance only",
+        "enumeration kernel tiers only",
     )
     parser.add_argument(
         "--min-kernel-speedup", type=float, default=3.0,
         help="required compiled-vs-numpy enumeration speedup when a "
         "compiled backend is available (default 3.0)",
-    )
-    parser.add_argument(
-        "--ladder-n", type=int, default=None, metavar="N",
-        help="also compare binary vs adaptive threshold ladders on a "
-        "qmkp-feasible companion instance of N vertices",
     )
     parser.add_argument("--out", type=Path, default=None, help="output JSON path")
     args = parser.parse_args(argv)
@@ -287,13 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     kernel_block, kernel_failures = kernel_comparison(
         graph, args.k, args.repeat, args.min_kernel_speedup
     )
-
-    ladder_block = None
-    ladder_failures: list[str] = []
-    if args.ladder_n is not None:
-        ladder_block, ladder_failures = ladder_comparison(
-            args.ladder_n, args.k, args.graph_seed, args.rng_seed
-        )
 
     if args.enum_only:
         report = {
@@ -314,17 +245,14 @@ def main(argv: list[str] | None = None) -> int:
             },
             "enum_only": True,
             "kernels": kernel_block,
-            "ladder": ladder_block,
         }
         out = args.out or Path(__file__).parent / f"BENCH_qmkp_n{args.n}_k{args.k}.json"
         out.write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(kernel_block, indent=2))
-        if ladder_block is not None:
-            print(json.dumps(ladder_block, indent=2))
         print(f"-> {out}")
-        for failure in kernel_failures + ladder_failures:
+        for failure in kernel_failures:
             print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if (kernel_failures or ladder_failures) else 0
+        return 1 if kernel_failures else 0
 
     cached_s, cached_fp, _ = _time_qmkp(
         graph, args.k, args.rng_seed, args.repeat, use_cache=True, workers=args.workers
@@ -404,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         "identical_cached_vs_uncached": identical,
         "predicate_agreement": sweep,
         "kernels": kernel_block,
-        "ladder": ladder_block,
         "trace": trace_block,
     }
 
@@ -422,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     if not identical or sweep["mismatches"]:
         print("FAIL: cached/uncached divergence or predicate mismatch", file=sys.stderr)
         return 1
-    if trace_failures or kernel_failures or ladder_failures:
-        for failure in trace_failures + kernel_failures + ladder_failures:
+    if trace_failures or kernel_failures:
+        for failure in trace_failures + kernel_failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0

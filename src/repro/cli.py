@@ -101,18 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         "samples are rejected by the self-verifying measurement loop",
     )
     solve.add_argument(
-        "--kernel", choices=["auto", "numpy", "numba", "cext"], default=None,
+        "--kernel", choices=["auto", "numpy", "cext"], default=None,
         help="compiled-kernel backend for the bit-parallel sweep and SA "
         "inner loops (default: the REPRO_KERNEL env var, else auto = "
         "fastest available; all backends are byte-identical)",
-    )
-    solve.add_argument(
-        "--ladder", choices=["binary", "adaptive"], default="binary",
-        help="qmkp: threshold-ladder strategy — 'binary' is the paper's "
-        "Algorithm 3; 'adaptive' tracks incumbents from every measured "
-        "feasible k-plex, carries the BBHT schedule across probes, and "
-        "skips cache-proven-empty thresholds (same optimum, fewer "
-        "probes)",
     )
     solve.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -307,15 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         "DIR; an interrupted stream resumes bit-identically",
     )
     watch.add_argument(
-        "--ladder", choices=["binary", "adaptive"], default="binary",
-        help="qmkp: threshold-ladder strategy (see 'solve --ladder')",
-    )
-    watch.add_argument(
         "--runtime-us", type=float, default=1000.0,
         help="qamkp-sa: per-step runtime budget (default 1000)",
     )
     watch.add_argument(
-        "--kernel", choices=["auto", "numpy", "numba", "cext"], default=None,
+        "--kernel", choices=["auto", "numpy", "cext"], default=None,
         help="kernel backend for sweeps/patches/anneals",
     )
     watch.add_argument(
@@ -410,6 +398,14 @@ def _cmd_solve(args, graph, labels) -> int:
             file=sys.stderr,
         )
         return 2
+    from .perf.kernels import resolve as resolve_kernel
+
+    try:
+        # --kernel is checked by argparse; this catches REPRO_KERNEL.
+        resolve_kernel(args.kernel)
+    except ValueError as exc:
+        print(f"error: REPRO_KERNEL: {exc}", file=sys.stderr)
+        return 2
     tracer = None
     if args.trace or args.metrics:
         from .obs import Tracer
@@ -445,7 +441,7 @@ def _cmd_solve(args, graph, labels) -> int:
             result = qmkp(
                 graph, args.k, rng=rng,
                 use_cache=not args.no_cache, workers=args.workers,
-                ladder=args.ladder, kernel=args.kernel,
+                kernel=args.kernel,
                 tracer=tracer,
                 deadline=args.deadline,
                 checkpoint=args.checkpoint,
@@ -471,11 +467,6 @@ def _cmd_solve(args, graph, labels) -> int:
             print(
                 f"resumed {result.resumed_probes} probe(s) from "
                 f"{args.checkpoint}"
-            )
-        if result.skipped_thresholds:
-            print(
-                f"adaptive ladder skipped {result.skipped_thresholds} "
-                "cache-proven-empty threshold(s)"
             )
         if result.degraded_to:
             print(
@@ -683,7 +674,7 @@ def _cmd_watch(args, graph, labels) -> int:
     labels = dict(labels)
     session = IncrementalSolver(
         graph, args.k, solver=args.solver, profile=args.profile,
-        seed=args.seed, ladder=args.ladder, runtime_us=args.runtime_us,
+        seed=args.seed, runtime_us=args.runtime_us,
         kernel=args.kernel, tracer=tracer, checkpoint_dir=args.checkpoint_dir,
     )
     steps: list[dict[str, object]] = []
@@ -695,7 +686,7 @@ def _cmd_watch(args, graph, labels) -> int:
         if args.solver == "qmkp":
             cold = qmkp(
                 snapshot, args.k, rng=np.random.default_rng([args.seed, step.step]),
-                ladder=args.ladder, kernel=args.kernel,
+                kernel=args.kernel,
             )
             if args.profile == "exact":
                 same = (

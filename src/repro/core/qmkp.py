@@ -91,7 +91,6 @@ class QMKPResult:
     degraded_to: str | None = None
     deadline_expired: bool = False
     resumed_probes: int = 0
-    skipped_thresholds: int = 0
     verification: dict[str, object] | None = field(
         default=None, repr=False, compare=False
     )
@@ -121,7 +120,6 @@ def qmkp(
     use_cache: bool = True,
     cache: MarkedSetCache | None = None,
     workers: int | None = None,
-    ladder: str = "binary",
     warm: frozenset[int] | None = None,
     kernel: str | None = None,
     tracer=None,
@@ -164,20 +162,6 @@ def qmkp(
     workers:
         Process-pool width for the bit-parallel sweep's chunks (only
         worth it for large ``n``); forwarded to the run-local cache.
-    ladder:
-        Threshold-ladder strategy.  ``"binary"`` (default) is the
-        paper's Algorithm 3 — plain binary search, byte-identical to
-        the seed implementation.  ``"adaptive"`` is the
-        incumbent-tracking ladder: every *measured* subset that
-        classically certifies as a k-plex (even below its probe's
-        threshold) becomes a global incumbent that retargets the lower
-        bound, consecutive ``counting="bbht"`` probes carry the BBHT
-        schedule ceiling instead of re-growing it, and thresholds whose
-        marked-count the :class:`~repro.perf.MarkedSetCache` table
-        already proves to be zero are skipped without spending a single
-        oracle call.  Both ladders provably return an optimum of the
-        same size; the adaptive one never uses more qTKP probes or
-        Grover iterations.
     warm:
         A known-feasible k-plex of ``graph`` (input-graph vertex ids)
         used as the search's initial incumbent: it is classically
@@ -240,10 +224,6 @@ def qmkp(
         unless ``reduce_first`` pruned it.  The clean path is untouched
         when None (the default).
     """
-    if ladder not in ("binary", "adaptive"):
-        raise ValueError(
-            f"ladder must be 'binary' or 'adaptive', got {ladder!r}"
-        )
     if warm is not None and reduce_first:
         raise ValueError(
             "warm seeds cannot be combined with reduce_first: the seed "
@@ -277,7 +257,7 @@ def qmkp(
             result = _qmkp_body(
                 graph, k, counting, reduce_first, use_upper_bound, rng,
                 cache, tracer, injector, deadline, checkpoint, resume,
-                on_progress, ladder, warm,
+                on_progress, warm,
             )
         finally:
             if cache is not None:
@@ -288,8 +268,6 @@ def qmkp(
         span.claim("qtkp_calls", result.qtkp_calls)
         if result.resumed_probes:
             span.set("resumed_probes", result.resumed_probes)
-        if result.skipped_thresholds:
-            span.claim("qmkp_skipped_thresholds", result.skipped_thresholds)
         if result.degraded_to:
             span.set("degraded_to", result.degraded_to)
         if stats_before is not None:
@@ -321,7 +299,6 @@ def _journal_header(
     reduce_first: bool,
     use_upper_bound: bool,
     rng: np.random.Generator,
-    ladder: str,
     warm: frozenset[int] | None,
 ) -> dict[str, object]:
     """The instance-binding fields a checkpoint must match to be replayed."""
@@ -334,7 +311,6 @@ def _journal_header(
         "reduce_first": reduce_first,
         "use_upper_bound": use_upper_bound,
         "rng": type(rng.bit_generator).__name__,
-        "ladder": ladder,
         "warm": sorted(warm) if warm is not None else None,
     }
 
@@ -412,7 +388,6 @@ def _qmkp_body(
     checkpoint: str | Path | None,
     resume: str | Path | None,
     on_progress: ProgressCallback | None = None,
-    ladder: str = "binary",
     warm: frozenset[int] | None = None,
 ) -> QMKPResult:
     working = graph
@@ -426,7 +401,6 @@ def _qmkp_body(
     if n == 0:
         return QMKPResult(frozenset(), 0, 0, 0)
 
-    adaptive = ladder == "adaptive"
     lo = 1
     hi = best_upper_bound(working, k) if use_upper_bound else n
     hi = max(lo, hi)
@@ -435,14 +409,7 @@ def _qmkp_body(
     progression: list[ProgressEvent] = []
     oracle_calls = 0
     gate_units = 0
-    skipped = 0
     totals = {"encode": 0, "degree_count": 0, "degree_compare": 0, "size_check": 0}
-    # Adaptive-ladder state: every measured subset a probe classically
-    # certifies as a k-plex lands here (via qtkp's on_feasible hook), and
-    # consecutive BBHT probes hand their schedule ceiling through this
-    # mutable cell instead of re-growing from 1.
-    observed: list[frozenset[int]] = []
-    bbht_state = {"ceiling": 1.0} if adaptive and counting == "bbht" else None
 
     def note_best(subset: frozenset[int], mid: int, replayed: bool) -> None:
         """Record a new incumbent: progression entry, tracer, callback."""
@@ -476,19 +443,6 @@ def _qmkp_body(
         else:
             hi = mid - 1
 
-    def apply_incumbent(
-        subset: frozenset[int], mid: int, replayed: bool = False
-    ) -> None:
-        """Adaptive update: a certified k-plex observed among a probe's
-        measurements retargets the lower bound, whatever threshold it
-        surfaced under — a feasible k-plex of size ``s`` proves the
-        optimum is at least ``s``, so no threshold <= ``s`` needs
-        deciding."""
-        nonlocal lo
-        if len(subset) > len(best):
-            note_best(subset, mid, replayed)
-        lo = max(lo, len(subset) + 1)
-
     if warm is not None:
         warm = frozenset(int(v) for v in warm)
         if warm and not is_kplex(working, warm, k):
@@ -505,8 +459,7 @@ def _qmkp_body(
             tracer.add("warm_start_hits", 1)
 
     header = _journal_header(
-        graph, working, k, counting, reduce_first, use_upper_bound, rng,
-        ladder, warm,
+        graph, working, k, counting, reduce_first, use_upper_bound, rng, warm,
     )
 
     # ------------------------------------------------------------------
@@ -524,8 +477,6 @@ def _qmkp_body(
                 replay_oracle = 0
                 replay_gate = 0
                 replay_attempts = 0
-                replay_probes = 0
-                replay_skips = 0
                 for record in records:
                     if lo > hi:
                         raise CheckpointCorruptError(
@@ -539,14 +490,6 @@ def _qmkp_body(
                             f"{record['threshold']} but the search "
                             f"sequence expects {mid}"
                         )
-                    if record.get("skipped"):
-                        # A cache-proven-empty threshold: no probe ran,
-                        # no randomness was consumed — just the interval
-                        # update, exactly as the live skip applied it.
-                        replay_skips += 1
-                        skipped += 1
-                        hi = mid - 1
-                        continue
                     probe = _probe_from_record(record)
                     if probe.found and not (
                         len(probe.subset) >= mid
@@ -559,20 +502,7 @@ def _qmkp_body(
                     replay_oracle += probe.oracle_calls
                     replay_gate += probe.gate_units
                     replay_attempts += probe.attempts
-                    replay_probes += 1
                     apply_probe(probe, mid, replayed=True)
-                    incumbent_rec = record.get("incumbent")
-                    if incumbent_rec is not None:
-                        subset = frozenset(int(v) for v in incumbent_rec)
-                        if not is_kplex(working, subset, k):
-                            raise CheckpointCorruptError(
-                                f"{resume}: journal incumbent for threshold "
-                                f"{mid} failed classical re-verification"
-                            )
-                        apply_incumbent(subset, mid, replayed=True)
-                    ceiling_rec = record.get("bbht_ceiling")
-                    if ceiling_rec is not None and bbht_state is not None:
-                        bbht_state["ceiling"] = float(ceiling_rec)
                     if deadline is not None:
                         deadline.charge(probe.gate_units)
                 # Replayed work is charged inside this span so the qmkp
@@ -580,24 +510,14 @@ def _qmkp_body(
                 # journal's totals and the result object agree.
                 tracer.add("oracle_calls", replay_oracle)
                 tracer.add("gate_units", replay_gate)
-                tracer.add("qtkp_calls", replay_probes)
+                tracer.add("qtkp_calls", len(records))
                 tracer.add("qtkp_attempts", replay_attempts)
                 rspan.claim("oracle_calls", replay_oracle)
                 rspan.claim("gate_units", replay_gate)
-                rspan.claim("qtkp_calls", replay_probes)
+                rspan.claim("qtkp_calls", len(records))
                 rspan.claim("qtkp_attempts", replay_attempts)
-                if replay_skips:
-                    tracer.add("qmkp_skipped_thresholds", replay_skips)
-                    rspan.claim("qmkp_skipped_thresholds", replay_skips)
             restore_rng_state(rng, records[-1]["rng_state"])
             resumed = len(records)
-            if adaptive and cache is not None and replay_probes:
-                # The uninterrupted run's first probe built the
-                # marked-set table; replay doesn't probe, so rebuild it
-                # before the live loop consults ``peek`` — otherwise a
-                # threshold the reference run skipped would be
-                # re-probed, breaking resume bit-identity.
-                cache.table(working, k)
 
     journal = None
     if checkpoint is not None:
@@ -612,45 +532,16 @@ def _qmkp_body(
                 deadline_expired = True
                 break
             mid = (lo + hi) // 2
-            if adaptive and cache is not None:
-                count = cache.peek(working, k, mid)
-                if count == 0:
-                    # The cached marked-set table (already paid for by an
-                    # earlier probe) proves no k-plex of size >= mid
-                    # exists, so the probe would come back not-found;
-                    # apply its interval update for free.  No randomness
-                    # is consumed, so resumed runs stay bit-identical.
-                    skipped += 1
-                    tracer.add("qmkp_skipped_thresholds", 1)
-                    hi = mid - 1
-                    if journal is not None:
-                        journal.append_probe({
-                            "skipped": True,
-                            "threshold": mid,
-                            "rng_state": rng_state(rng),
-                        })
-                    continue
             probe = qtkp(
                 working, k, mid, counting=counting, rng=rng, cache=cache,
                 tracer=tracer, injector=injector,
-                on_feasible=observed.append if adaptive else None,
-                bbht_state=bbht_state,
             )
             if deadline is not None:
                 deadline.charge(probe.gate_units)
             apply_probe(probe, mid)
-            incumbent: frozenset[int] | None = None
-            if adaptive and observed:
-                incumbent = max(observed, key=len)
-                observed.clear()
-                apply_incumbent(incumbent, mid)
             if journal is not None:
                 record = _probe_record(probe, rng)
                 record["threshold"] = mid
-                if incumbent is not None:
-                    record["incumbent"] = sorted(incumbent)
-                if bbht_state is not None:
-                    record["bbht_ceiling"] = bbht_state["ceiling"]
                 journal.append_probe(record)
     finally:
         if journal is not None:
@@ -698,7 +589,6 @@ def _qmkp_body(
         degraded_to=degraded_to,
         deadline_expired=deadline_expired,
         resumed_probes=resumed,
-        skipped_thresholds=skipped,
         verification=verification,
     )
 

@@ -9,7 +9,12 @@ Pipeline, exactly as in the paper:
    the number of solutions, estimated by quantum counting (Brassard et
    al.) or taken exactly;
 5. measure the vertex register and verify the candidate classically
-   (an O(n^2) check); retry on a bad collapse.
+   (at least ``T`` vertices and an O(n^2) k-plex check); retry on a bad
+   collapse.
+
+qTKP is the decision procedure of qMKP's binary search
+(:mod:`repro.core.qmkp`); a probe answers exactly one threshold and
+keeps no state between calls.
 
 Steps 3-5 run on :class:`repro.grover.PhaseOracleGrover`, which keeps
 the two amplitudes (marked / unmarked) the register ever holds, so a
@@ -113,8 +118,6 @@ def qtkp(
     cache: MarkedSetCache | None = None,
     tracer=None,
     injector: GateFaultInjector | None = None,
-    on_feasible=None,
-    bbht_state: dict | None = None,
 ) -> QTKPResult:
     """Find a k-plex of size at least ``threshold``, or report failure.
 
@@ -157,20 +160,6 @@ def qtkp(
         injected corruption costs a retry, never a wrong answer.  With
         ``None`` the clean path runs byte-identically to a build
         without this feature.
-    on_feasible:
-        Adaptive-ladder hook: called with every *measured* subset that
-        classically verifies as a k-plex — including ones below the
-        threshold, which the probe itself rejects.  The measurement
-        already happened and the certificate is an O(n^2) classical
-        check, so the ladder learns a lower bound at zero quantum cost.
-        Consumes no randomness: the RNG stream is identical with the
-        hook on or off.
-    bbht_state:
-        Adaptive-ladder hook for ``counting="bbht"``: a mutable dict
-        whose ``"ceiling"`` entry seeds the BBHT schedule
-        (``initial_ceiling``) and receives the schedule's final ceiling
-        afterwards, so consecutive threshold probes carry the
-        exponential schedule's state instead of re-growing it from 1.
     """
     if not (1 <= threshold <= max(graph.num_vertices, 1)):
         raise ValueError(
@@ -192,8 +181,7 @@ def qtkp(
         "qtkp", n=graph.num_vertices, k=k, threshold=threshold, counting=counting
     ) as span:
         result = _qtkp_body(
-            graph, k, threshold, counting, max_attempts, rng, cache, tracer,
-            injector, on_feasible, bbht_state,
+            graph, k, threshold, counting, max_attempts, rng, cache, tracer, injector
         )
         tracer.add("qtkp_calls", 1)
         span.set("found", result.found)
@@ -244,8 +232,6 @@ def _qtkp_body(
     cache: MarkedSetCache | None,
     tracer,
     injector: GateFaultInjector | None,
-    on_feasible=None,
-    bbht_state: dict | None = None,
 ) -> QTKPResult:
     n = graph.num_vertices
     if cache is not None:
@@ -269,21 +255,9 @@ def _qtkp_body(
     per_round = per_call.total + diffusion_gate_count(n)
 
     if counting == "bbht":
-        observe = None
-        if on_feasible is not None:
-            def observe(mask: int) -> None:
-                subset = graph.bitmask_to_subset(mask)
-                if subset and is_kplex(graph, subset, k):
-                    on_feasible(subset)
-        initial_ceiling = (
-            float(bbht_state.get("ceiling", 1.0)) if bbht_state is not None else 1.0
-        )
         with tracer.span("qtkp.bbht"):
             if injector is None:
-                result = bbht_search(
-                    engine, rng=rng, initial_ceiling=initial_ceiling,
-                    observe=observe,
-                )
+                result = bbht_search(engine, rng=rng)
             else:
                 result = bbht_search(
                     engine,
@@ -294,8 +268,6 @@ def _qtkp_body(
                     ),
                     corrupt=lambda mask: injector.corrupt_measurement(mask, n),
                     tracer=tracer,
-                    initial_ceiling=initial_ceiling,
-                    observe=observe,
                 )
                 stats.measurements = result.rounds
                 stats.verified = int(result.found)
@@ -303,8 +275,6 @@ def _qtkp_body(
                 stats.bbht_restarts = result.restarts_used
                 stats.false_negative = not result.found and exact_m > 0
                 stats.faults = list(injector.fault_log[fault_log_start:])
-            if bbht_state is not None:
-                bbht_state["ceiling"] = result.final_ceiling
             tracer.add("oracle_calls", result.oracle_calls)
             tracer.add("gate_units", result.oracle_calls * per_round)
             tracer.add("qtkp_attempts", result.rounds)
@@ -362,20 +332,7 @@ def _qtkp_body(
             mask = run.measure_once(rng)
             if injector is None:
                 subset = graph.bitmask_to_subset(mask)
-                if on_feasible is None:
-                    verified = (
-                        len(subset) >= threshold and is_kplex(graph, subset, k)
-                    )
-                else:
-                    # Adaptive ladder: certify the measurement as a
-                    # k-plex regardless of size — a below-threshold
-                    # collapse still teaches the ladder a lower bound.
-                    # Pure classical work, no RNG: the measurement
-                    # stream is untouched.
-                    feasible = bool(subset) and is_kplex(graph, subset, k)
-                    if feasible:
-                        on_feasible(subset)
-                    verified = feasible and len(subset) >= threshold
+                verified = len(subset) >= threshold and is_kplex(graph, subset, k)
             else:
                 # Self-verifying sampling: the measured candidate is
                 # checked against the classical certificate before it
@@ -385,16 +342,9 @@ def _qtkp_body(
                     tracer.add("gate_verifications", 1)
                     mask = injector.corrupt_measurement(mask, n)
                     subset = graph.bitmask_to_subset(mask)
-                    if on_feasible is None:
-                        verified = (
-                            len(subset) >= threshold
-                            and is_kplex(graph, subset, k)
-                        )
-                    else:
-                        feasible = bool(subset) and is_kplex(graph, subset, k)
-                        if feasible:
-                            on_feasible(subset)
-                        verified = feasible and len(subset) >= threshold
+                    verified = (
+                        len(subset) >= threshold and is_kplex(graph, subset, k)
+                    )
                     stats.measurements += 1
                     if verified:
                         stats.verified += 1

@@ -132,9 +132,9 @@ class IncrementalSolver:
         ``np.random.default_rng([seed, i])`` (qMKP) or an integer
         derived from the same ``SeedSequence`` (SA), so any step can be
         reproduced cold without replaying the stream.
-    counting, ladder, runtime_us, kernel:
-        Forwarded to the underlying solver (qMKP's counting/ladder,
-        SA's budget, the sweep/anneal kernel backend).
+    counting, runtime_us, kernel:
+        Forwarded to the underlying solver (qMKP's counting mode, SA's
+        budget, the sweep/anneal kernel backend).
     cache:
         The session's :class:`~repro.perf.MarkedSetCache` (qMKP only);
         created with room for patched tables when omitted.
@@ -155,7 +155,6 @@ class IncrementalSolver:
         profile: str = "exact",
         seed: int = 0,
         counting: str = "exact",
-        ladder: str = "binary",
         runtime_us: float = 1000.0,
         kernel: str | None = None,
         cache: MarkedSetCache | None = None,
@@ -176,7 +175,6 @@ class IncrementalSolver:
         self.profile = profile
         self.seed = seed
         self.counting = counting
-        self.ladder = ladder
         self.runtime_us = runtime_us
         self.kernel = kernel
         # ``cache or ...`` would discard a caller-provided *empty* cache
@@ -374,7 +372,7 @@ class IncrementalSolver:
             return qmkp(
                 working, self.k, counting=self.counting,
                 rng=self.step_rng(step), cache=self.cache,
-                ladder=self.ladder, warm=warm, tracer=self.tracer, **kwargs,
+                warm=warm, tracer=self.tracer, **kwargs,
             )
         except CheckpointError:
             # A stale or corrupt step journal (e.g. the stream's edits
@@ -387,5 +385,5 @@ class IncrementalSolver:
             return qmkp(
                 working, self.k, counting=self.counting,
                 rng=self.step_rng(step), cache=self.cache,
-                ladder=self.ladder, warm=warm, tracer=self.tracer, **kwargs,
+                warm=warm, tracer=self.tracer, **kwargs,
             )

@@ -57,12 +57,6 @@ class BBHTResult:
     rejected:
         Measured candidates the verification step refused — unlucky
         collapses and injected readout corruption alike.
-    final_ceiling:
-        The exponential schedule's ceiling when the search stopped.
-        Feeding it back as ``initial_ceiling`` lets a caller running a
-        *sequence* of related searches (qMKP's adaptive threshold
-        ladder) resume the schedule where the last search left it
-        instead of re-growing from 1.
     """
 
     mask: int | None
@@ -71,7 +65,6 @@ class BBHTResult:
     rounds: int
     restarts_used: int = 0
     rejected: int = 0
-    final_ceiling: float = 1.0
 
 
 def bbht_search(
@@ -82,8 +75,6 @@ def bbht_search(
     execute: Callable[[PhaseOracleGrover, int], GroverRun] | None = None,
     corrupt: Callable[[int], int] | None = None,
     tracer=None,
-    initial_ceiling: float = 1.0,
-    observe: Callable[[int], None] | None = None,
 ) -> BBHTResult:
     """Search without knowing ``M`` via the BBHT exponential schedule.
 
@@ -110,15 +101,6 @@ def bbht_search(
     tracer:
         Optional :class:`repro.obs.Tracer`; each restart opens a
         ``gate.retry`` span (kind ``"bbht_restart"``).
-    initial_ceiling:
-        Starting ceiling for the first schedule (default 1 = the
-        classic cold start).  Restarted schedules still begin fresh at
-        1 — a restart exists to escape a ceiling that noise defeated.
-    observe:
-        Called with every measured (post-``corrupt``) mask, found or
-        rejected, before the marked-set check.  The adaptive ladder's
-        incumbent tracker lives here: rejected masks can still encode
-        feasible solutions below the current threshold.
     """
     rng = np.random.default_rng(rng)
     run_engine = execute if execute is not None else (
@@ -134,11 +116,8 @@ def bbht_search(
     # Rounds are bounded too: zero-iteration draws cost no oracle calls
     # but each round still measures, and an M = 0 instance must halt.
     max_rounds = 4 * max(max_oracle_calls, 1)
-    ceiling = 1.0
     for schedule in range(restarts + 1):
-        ceiling = (
-            min(max(float(initial_ceiling), 1.0), sqrt_n) if schedule == 0 else 1.0
-        )
+        ceiling = 1.0
         schedule_calls = 0
         schedule_rounds = 0
         while schedule_calls < max_oracle_calls and schedule_rounds < max_rounds:
@@ -151,12 +130,9 @@ def bbht_search(
             mask = run.measure_once(rng)
             if corrupt is not None:
                 mask = corrupt(mask)
-            if observe is not None:
-                observe(mask)
             if mask in engine.marked:
                 return BBHTResult(
-                    mask, True, oracle_calls, rounds, schedule, rejected,
-                    final_ceiling=ceiling,
+                    mask, True, oracle_calls, rounds, schedule, rejected
                 )
             rejected += 1
             ceiling = min(_GROWTH * ceiling, sqrt_n)
@@ -165,7 +141,4 @@ def bbht_search(
                 "gate.retry", kind="bbht_restart", restart=schedule + 1
             ):
                 tracer.add("gate_retries", 1)
-    return BBHTResult(
-        None, False, oracle_calls, rounds, restarts, rejected,
-        final_ceiling=ceiling,
-    )
+    return BBHTResult(None, False, oracle_calls, rounds, restarts, rejected)

@@ -11,8 +11,7 @@ This module computes the k-plex mask set **once** per ``(graph, k)``
 answers every threshold probe with a suffix lookup:
 
 * :class:`MarkedSetTable` — the masks sorted by size with per-size
-  offsets, so "all marked masks of size >= T" is an O(1) array slice
-  and "how many" is a suffix-sum read;
+  offsets, so "all marked masks of size >= T" is an O(1) array slice;
 * :class:`MarkedSetCache` — a small LRU over tables keyed on the
   graph's **structural fingerprint** and ``k``, shared across the
   probes of one qMKP run (and across runs, if the caller keeps the
@@ -121,19 +120,9 @@ class MarkedSetTable:
         """Marked-mask count per subset size (index = size)."""
         return self._counts.copy()
 
-    def _clip(self, threshold: int) -> int:
-        return max(0, min(threshold, self.num_vertices + 1))
-
-    def count_at_least(self, threshold: int) -> int:
-        """Number of marked masks of size >= ``threshold`` (suffix sum)."""
-        t = self._clip(threshold)
-        if t > self.num_vertices:
-            return 0
-        return int(self._by_size.size - self._offsets[t])
-
     def masks_at_least(self, threshold: int) -> np.ndarray:
         """All marked masks of size >= ``threshold`` — a zero-copy slice."""
-        t = self._clip(threshold)
+        t = max(0, threshold)
         if t > self.num_vertices:
             return self._by_size[:0]
         return self._by_size[self._offsets[t]:]
@@ -333,25 +322,6 @@ class MarkedSetCache:
             if key in self._tables:
                 self._oracle_costs[key] = costs
         return costs
-
-    def peek(self, graph: Graph, k: int, threshold: int) -> int | None:
-        """Marked count at ``threshold`` if the table is already cached.
-
-        Returns None when no table exists for ``(graph, k)`` — this
-        never triggers a sweep and charges no hit/miss, so the adaptive
-        threshold ladder can consult it for free before deciding whether
-        a qTKP probe is worth dispatching (a zero suffix count proves
-        the probe would come back empty-handed).  A peek-hit does bump
-        the entry's LRU recency: the adaptive ladder's hottest table
-        must not be evicted by unrelated ``table()`` inserts just
-        because the ladder only ever peeked at it.
-        """
-        key = (graph.fingerprint(), k)
-        table = self._tables.get(key)
-        if table is None:
-            return None
-        self._tables.move_to_end(key)
-        return table.count_at_least(threshold)
 
     def patch(
         self,

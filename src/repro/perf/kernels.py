@@ -4,14 +4,11 @@ Three inner loops dominate the pipeline's classical runtime — the
 bit-parallel mask enumeration (:func:`repro.perf.bitparallel`'s chunk
 sweep), the CSR Metropolis sweep, and the batched tabu flip loop
 (:mod:`repro.perf.anneal`).  Each has exactly one reference
-implementation (pure NumPy, byte-identical to the seed) and up to two
-compiled twins behind a common :class:`KernelBackend` interface:
+implementation (pure NumPy, byte-identical to the seed) and one
+compiled twin behind a common :class:`KernelBackend` interface:
 
 * ``numpy`` — the reference.  Always available; selecting it (or having
-  no compiler/JIT available at all) reproduces seed-era results
-  bit-for-bit.
-* ``numba`` — ``@njit`` twins (:mod:`repro.perf.jit`), used when the
-  optional ``numba`` package is importable.  Never a hard dependency.
+  no C compiler at all) reproduces seed-era results bit-for-bit.
 * ``cext`` — a C translation (:mod:`repro.perf.cext`) compiled on
   demand from the packaged ``_kernels.c`` with the system C compiler
   and driven through ``ctypes``; cached as a shared library per source
@@ -19,14 +16,13 @@ compiled twins behind a common :class:`KernelBackend` interface:
 
 Selection is by name — the ``REPRO_KERNEL`` environment variable, the
 CLI's ``--kernel`` flag, or an explicit ``kernel=`` argument — with
-``auto`` picking the fastest available tier (numba, then cext, then
-numpy).  Requesting a compiled backend that is unavailable falls back
-to NumPy *silently*: the compiled tiers are accelerators, never
-correctness requirements.  Every compiled backend self-validates on
-first load (a fixed probe instance is run through both it and the
-reference; any mismatch disqualifies the backend for the process), so
-a miscompiled library degrades to the reference instead of corrupting
-results.
+``auto`` picking cext when it builds and numpy otherwise.  Requesting
+cext where it is unavailable falls back to NumPy *silently*: the
+compiled tier is an accelerator, never a correctness requirement.  It
+self-validates on first load (a fixed probe instance is run through
+both it and the reference; any mismatch disqualifies it for the
+process), so a miscompiled library degrades to the reference instead
+of corrupting results.
 """
 
 from __future__ import annotations
@@ -44,10 +40,10 @@ __all__ = [
 ]
 
 #: Resolution order for ``auto``.
-_AUTO_ORDER = ("numba", "cext", "numpy")
+_AUTO_ORDER = ("cext", "numpy")
 
 #: Recognised backend names (``auto`` resolves to one of these).
-KERNEL_NAMES = ("numpy", "numba", "cext")
+KERNEL_NAMES = ("numpy", "cext")
 
 
 class KernelUnavailable(RuntimeError):
@@ -201,19 +197,13 @@ def _make_numpy() -> KernelBackend:
     return NumpyKernels()
 
 
-def _make_numba() -> KernelBackend:
-    from .jit import NumbaKernels  # raises KernelUnavailable without numba
-
-    return NumbaKernels()
-
-
 def _make_cext() -> KernelBackend:
     from .cext import CExtKernels  # raises KernelUnavailable without a compiler
 
     return CExtKernels()
 
 
-_FACTORIES = {"numpy": _make_numpy, "numba": _make_numba, "cext": _make_cext}
+_FACTORIES = {"numpy": _make_numpy, "cext": _make_cext}
 
 #: Resolved backend singletons (``False`` marks a failed construction,
 #: so an unavailable toolchain is probed once per process, not per call).
@@ -233,8 +223,8 @@ def _get(name: str) -> KernelBackend | None:
         _instances[name] = False
         return None
     except Exception:
-        # A broken toolchain (compiler present but miscompiling, numba
-        # importable but crashing) must degrade, not poison the solve.
+        # A broken toolchain (compiler present but miscompiling) must
+        # degrade, not poison the solve.
         _instances[name] = False
         return None
     _instances[name] = backend
@@ -253,7 +243,7 @@ def resolve(name: str | None = None) -> KernelBackend:
     ``auto``); ``auto`` walks :data:`_AUTO_ORDER` and returns the first
     tier that constructs and self-validates.  A *named* tier that is
     unavailable falls back to NumPy silently — per the contract that
-    compiled tiers are accelerators only.  Unknown names raise
+    the compiled tier is an accelerator only.  Unknown names raise
     ``ValueError`` (they are typos, not missing toolchains).
     """
     if name is None:

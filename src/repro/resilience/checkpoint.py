@@ -39,13 +39,13 @@ __all__ = [
     "validate_header",
 ]
 
-#: Current schema: v2 adds the adaptive-ladder fields — ``ladder`` in
-#: the header, and per-record ``incumbent`` / ``skipped`` /
-#: ``bbht_ceiling``.  v1 journals (no ladder concept) load fine and are
-#: normalized to ``ladder="binary"``, which is exactly the semantics
-#: they were written under.
-SCHEMA = "repro.resilience/qmkp-checkpoint/v2"
-SCHEMA_V1 = "repro.resilience/qmkp-checkpoint/v1"
+SCHEMA = "repro.resilience/qmkp-checkpoint/v1"
+
+#: A retired schema that added a ``ladder`` header field (and, for the
+#: removed ``"adaptive"`` ladder, extra record kinds).  Its
+#: ``ladder: "binary"`` journals hold exactly v1 records and still load;
+#: any other ladder is refused.
+SCHEMA_V2 = "repro.resilience/qmkp-checkpoint/v2"
 
 #: CI/test hook: when set to N, the process SIGKILLs itself after the
 #: N-th probe record has been durably appended — a deterministic
@@ -228,11 +228,17 @@ class CheckpointJournal:
             raise CheckpointError(f"{path}: no parseable journal lines")
         header = parsed[0]
         schema = header.get("schema")
-        if schema == SCHEMA_V1:
-            # Pre-ladder journal: binary-search semantics, presented as
-            # the current schema so resume-time header validation works
+        if schema == SCHEMA_V2:
+            ladder = header.get("ladder")
+            if ladder != "binary":
+                raise CheckpointMismatchError(
+                    f"{path}: journal was written by the {ladder!r} "
+                    "threshold ladder; only binary-search journals resume"
+                )
+            # Presented as v1 so resume-time header validation works
             # uniformly (the file itself is left untouched).
-            header = {**header, "schema": SCHEMA, "ladder": "binary"}
+            header = {key: value for key, value in header.items() if key != "ladder"}
+            header["schema"] = SCHEMA
         elif schema != SCHEMA:
             raise CheckpointMismatchError(
                 f"{path}: schema {schema!r} != {SCHEMA!r}"

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import qmkp
+from repro.datasets.paper_instances import GATE_INSTANCES
 from repro.graphs import complete_graph, empty_graph, gnm_random_graph
-from repro.kplex import is_kplex, maximum_kplex_bruteforce
+from repro.kplex import is_kplex, maximum_kplex, maximum_kplex_bruteforce
+
+GATE_CASES = [
+    (name, inst, k)
+    for name, inst in GATE_INSTANCES.items()
+    for k in inst.known_optima
+]
 
 
 class TestOptimality:
@@ -31,6 +38,18 @@ class TestOptimality:
         result = qmkp(empty_graph(0), 2, rng=rng)
         assert result.size == 0
         assert result.qtkp_calls == 0
+
+    @pytest.mark.parametrize(
+        "name,inst,k", GATE_CASES, ids=[f"{n}-k{k}" for n, _, k in GATE_CASES]
+    )
+    @pytest.mark.parametrize("counting", ["exact", "bbht"])
+    def test_gate_instances_reach_known_optimum(self, name, inst, k, counting):
+        graph = inst.build()
+        expected = inst.known_optima[k]
+        assert len(maximum_kplex(graph, k).subset) == expected
+        result = qmkp(graph, k, counting=counting, rng=7)
+        assert result.size == expected
+        assert is_kplex(graph, result.subset, k)
 
 
 class TestProgression:

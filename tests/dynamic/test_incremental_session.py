@@ -26,10 +26,7 @@ from repro.obs import Tracer
 
 
 def cold_qmkp(session, step):
-    return qmkp(
-        session.graph.snapshot(), session.k,
-        rng=session.step_rng(step), ladder=session.ladder,
-    )
+    return qmkp(session.graph.snapshot(), session.k, rng=session.step_rng(step))
 
 
 def assert_step_matches_cold(step_result, cold):
@@ -79,15 +76,6 @@ class TestExactProfile:
         assert step.step == 1 and len(step.edits) == 2
         assert_step_matches_cold(step, cold_qmkp(session, 1))
         assert session.pending_edits == ()
-
-    def test_adaptive_ladder_supported(self):
-        session = IncrementalSolver(
-            gnm_random_graph(8, 15, seed=3), 2, seed=4, ladder="adaptive"
-        )
-        session.resolve()
-        session.remove_edge(*sorted(session.graph.snapshot().edges)[0])
-        step = session.resolve()
-        assert_step_matches_cold(step, cold_qmkp(session, 1))
 
     def test_resolve_without_edits_is_cheap_and_identical(self):
         session = IncrementalSolver(gnm_random_graph(7, 12, seed=4), 2, seed=1)

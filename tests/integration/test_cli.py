@@ -185,6 +185,20 @@ class TestRobustness:
         assert main(["solve", str(path), "--solver", "qmkp", "--no-cache"]) == 2
         assert "supports n <= 26" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["bogus", "numba"])
+    @pytest.mark.parametrize("solver", ["qmkp", "qamkp-sa", "bs"])
+    def test_unknown_kernel_env_exits_2(
+        self, graph_file, capsys, monkeypatch, name, solver
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        assert main(["solve", graph_file, "--solver", solver]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: REPRO_KERNEL: unknown kernel backend {name!r}; "
+            "expected one of ('auto', 'numpy', 'cext')"
+        ]
+
     def test_bad_fault_spec_exits_2(self, graph_file, capsys):
         code = main([
             "solve", graph_file, "--solver", "qamkp-qpu",

@@ -3,8 +3,8 @@
 The contract under test: a qMKP run journaled to a checkpoint and killed
 at any probe boundary resumes **bit-identically** — same subset, same
 cost totals, same reconciled ledger — and a journal that does not match
-the run (wrong instance, edited lines, invented witnesses) is refused
-loudly instead of silently replayed.
+the run (wrong instance, edited lines, invented witnesses, a retired
+threshold ladder) is refused loudly instead of silently replayed.
 """
 
 from __future__ import annotations
@@ -14,17 +14,56 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import qmkp
+from repro.graphs import gnm_random_graph, write_edge_list
 from repro.obs import RunLedger, Tracer
+from repro.perf.kernels import available_backends
 from repro.resilience import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointJournal,
     CheckpointMismatchError,
 )
-from repro.resilience.checkpoint import SCHEMA, restore_rng_state, rng_state
+from repro.resilience.checkpoint import (
+    SCHEMA,
+    SCHEMA_V2,
+    restore_rng_state,
+    rng_state,
+)
 
 HEADER = {"k": 2, "graph": "abc"}
+
+
+def _ladder_graph():
+    """Three probes (found, found, not found) under both counting modes."""
+    return gnm_random_graph(11, 28, seed=7)
+
+
+def _as_v2(lines: list[str], ladder: str) -> list[str]:
+    """``lines`` with the header rewritten in the retired v2 schema,
+    which added a ``ladder`` field and nothing else to the header."""
+    header = json.loads(lines[0])
+    header.update(schema=SCHEMA_V2, ladder=ladder)
+    return [json.dumps(header, sort_keys=True), *lines[1:]]
+
+
+def _write_adaptive_journal(path, graph) -> None:
+    """A journal as the removed ``ladder="adaptive"`` wrote it: a v2
+    header and, first, a ``skipped`` record — a threshold decided from
+    the cached table with no probe run, so no witness or cost fields."""
+    source = path.with_suffix(".binary")
+    qmkp(graph, 2, rng=123, checkpoint=source)
+    lines = source.read_text().splitlines()
+    first = json.loads(lines[1])
+    skipped = {
+        "rng_state": first["rng_state"],
+        "skipped": True,
+        "threshold": first["threshold"],
+    }
+    path.write_text(
+        "\n".join(_as_v2(lines[:1], "adaptive") + [json.dumps(skipped)]) + "\n"
+    )
 
 
 class TestJournal:
@@ -198,6 +237,118 @@ class TestQmkpResume:
         assert journaled.subset == reference.subset
         assert journaled.oracle_calls == reference.oracle_calls
         assert journaled.resumed_probes == 0
+
+    @pytest.mark.parametrize("counting", ["exact", "bbht"])
+    def test_resume_bit_identical_from_every_prefix(self, tmp_path, counting):
+        graph = _ladder_graph()
+        ref_path = tmp_path / "ref.wal"
+        ref = qmkp(graph, 2, counting=counting, rng=123, checkpoint=ref_path)
+        lines = ref_path.read_text().splitlines()
+        assert len(lines) == 1 + ref.qtkp_calls == 4
+        for keep in range(len(lines)):
+            part = tmp_path / f"part{keep}.wal"
+            part.write_text("\n".join(lines[: 1 + keep]) + "\n")
+            res = qmkp(
+                graph, 2, counting=counting, rng=123, resume=part,
+                checkpoint=part,
+            )
+            assert res.resumed_probes == keep
+            assert res.subset == ref.subset
+            assert res.oracle_calls == ref.oracle_calls
+            assert res.gate_units == ref.gate_units
+            assert res.qtkp_calls == ref.qtkp_calls
+            assert res.progression == ref.progression
+            # The extended journal equals the uninterrupted one.
+            assert part.read_text() == ref_path.read_text()
+
+    def test_resume_across_kernel_backends(self, tmp_path):
+        backends = available_backends()
+        if len(backends) < 2:
+            pytest.skip("only one kernel backend available")
+        graph = _ladder_graph()
+        ref_path = tmp_path / "ref.wal"
+        ref = qmkp(
+            graph, 2, counting="bbht", rng=42, checkpoint=ref_path,
+            kernel=backends[0],
+        )
+        lines = ref_path.read_text().splitlines()
+        part = tmp_path / "part.wal"
+        part.write_text("\n".join(lines[:2]) + "\n")
+        res = qmkp(
+            graph, 2, counting="bbht", rng=42, resume=part, checkpoint=part,
+            kernel=backends[-1],
+        )
+        assert res.subset == ref.subset
+        assert res.oracle_calls == ref.oracle_calls
+        assert part.read_text() == ref_path.read_text()
+
+
+class TestJournalSchemas:
+    """v1 is written; v2 journals of the binary ladder still resume; a
+    v2 journal of the removed adaptive ladder is refused as a typed
+    error before any of its records is replayed."""
+
+    def test_v1_journal_resumes(self, tmp_path):
+        graph = _ladder_graph()
+        path = tmp_path / "v1.wal"
+        ref = qmkp(graph, 2, counting="bbht", rng=5, checkpoint=path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["schema"] == SCHEMA == "repro.resilience/qmkp-checkpoint/v1"
+        assert "ladder" not in header
+        path.write_text("\n".join(lines[:2]) + "\n")
+        res = qmkp(graph, 2, counting="bbht", rng=5, resume=path)
+        assert res.resumed_probes == 1
+        assert res.subset == ref.subset
+        assert res.oracle_calls == ref.oracle_calls
+
+    @pytest.mark.parametrize("counting", ["exact", "bbht"])
+    def test_v2_binary_journal_resumes_bit_identically(self, tmp_path, counting):
+        graph = _ladder_graph()
+        ref_path = tmp_path / "ref.wal"
+        ref = qmkp(graph, 2, counting=counting, rng=123, checkpoint=ref_path)
+        lines = ref_path.read_text().splitlines()
+        part = tmp_path / "v2.wal"
+        part.write_text("\n".join(_as_v2(lines[:2], "binary")) + "\n")
+        res = qmkp(
+            graph, 2, counting=counting, rng=123, resume=part, checkpoint=part,
+        )
+        assert res.resumed_probes == 1
+        assert res.subset == ref.subset
+        assert res.oracle_calls == ref.oracle_calls
+        assert res.gate_units == ref.gate_units
+        assert res.qtkp_calls == ref.qtkp_calls
+        assert res.progression == ref.progression
+        # The v2 header stays; the records continue exactly as v1 ones.
+        extended = part.read_text().splitlines()
+        assert extended[0] == _as_v2(lines, "binary")[0]
+        assert extended[1:] == lines[1:]
+
+    def test_v2_adaptive_journal_refused(self, tmp_path):
+        graph = _ladder_graph()
+        path = tmp_path / "adaptive.wal"
+        _write_adaptive_journal(path, graph)
+        with pytest.raises(CheckpointMismatchError, match="'adaptive'"):
+            CheckpointJournal.load(path)
+        with pytest.raises(CheckpointMismatchError, match="'adaptive'"):
+            qmkp(graph, 2, rng=123, resume=path, checkpoint=path)
+
+    def test_cli_refuses_adaptive_journal(self, fig1, tmp_path, capsys):
+        graph_file = tmp_path / "fig1.txt"
+        write_edge_list(fig1, graph_file)
+        journal = tmp_path / "adaptive.wal"
+        _write_adaptive_journal(journal, fig1)
+        before = journal.read_text()
+        code = main([
+            "solve", str(graph_file), "--solver", "qmkp",
+            "--checkpoint", str(journal),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: checkpoint:")
+        assert "'adaptive'" in err[0]
+        assert journal.read_text() == before  # refused, not truncated
 
 
 class TestResumable:
