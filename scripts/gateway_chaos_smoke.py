@@ -229,7 +229,7 @@ def gateway_kill_scenario(tmp: Path, graph: Path, reference: dict) -> None:
     chaos = ChaosPlan(gateway_kills={"kill-victim": [1]})
     faults = chaos.stream_faults("kill-victim")
     journal_path = (
-        spool / "work" / "gateway-events"
+        spool / "gateway-events"
         / f"{spec.content_key()}.events.jsonl"
     )
 

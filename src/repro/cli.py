@@ -11,8 +11,9 @@ Subcommands:
 * ``enumerate`` — list the maximal k-plexes (community detection);
 * ``relax``   — maximum n-clan / n-club via the quantum subset search;
 * ``draw``    — render the qTKP checking circuit as ASCII art;
-* ``serve``   — run the supervised solver service against a file spool;
-* ``submit``  — drop a solve request into a spool (and optionally wait);
+* ``serve``   — run the supervised solver service behind its HTTP/SSE
+  gateway;
+* ``submit``  — send a solve request to a gateway (and optionally wait);
 * ``watch``   — stream an edit script through an incremental re-solve
   session (dynamic graphs).
 
@@ -150,9 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("-T", "--threshold", type=int, default=1)
 
     serve = sub.add_parser(
-        "serve", help="run the supervised solver service on a file spool"
+        "serve", help="run the supervised solver service behind its "
+        "HTTP/SSE gateway"
     )
-    serve.add_argument("spool", help="spool directory (created if missing)")
+    serve.add_argument(
+        "workdir",
+        help="service workdir for checkpoints, receipts and event journals "
+        "(created if missing; suspended jobs resume from it on restart)",
+    )
+    serve.add_argument(
+        "--http", required=True, metavar="HOST:PORT",
+        help="gateway address (PORT 0 picks a free port; the bound address "
+        "is printed on startup)",
+    )
     serve.add_argument(
         "--workers", type=int, default=2, help="worker pool width (default 2)"
     )
@@ -164,19 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-resumes", type=int, default=3,
         help="crash-resume budget per job before it settles failed",
-    )
-    serve.add_argument(
-        "--max-jobs", type=int, default=None,
-        help="serve this many requests then drain and exit (for tests/CI)",
-    )
-    serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="exit after this long with an empty spool and no running jobs",
-    )
-    serve.add_argument(
-        "--workdir", default=None,
-        help="service workdir for checkpoints/receipts (default: under "
-        "the spool, so suspended jobs resume across server restarts)",
     )
     serve.add_argument(
         "--tenant-budget", action="append", default=None,
@@ -195,30 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the fleet-shared table store "
         "(implies --shared-cache)",
     )
-    serve.add_argument(
-        "--metrics", choices=["json", "prom"], default=None,
-        help="print the service metric registry on exit",
-    )
-    serve.add_argument(
-        "--http", default=None, metavar="HOST:PORT",
-        help="also serve the HTTP/SSE gateway on this address (PORT 0 "
-        "picks a free port; the bound address is printed on startup)",
-    )
-    serve.add_argument(
-        "--spool-retention", type=float, default=None, metavar="SECONDS",
-        help="garbage-collect settled spool records older than this "
-        "(default: keep forever); live and resumable artifacts are "
-        "never touched",
-    )
 
     submit = sub.add_parser(
-        "submit", help="submit a solve request to a service spool"
-    )
-    submit.add_argument(
-        "spool", nargs="?", default=None,
-        help="spool directory of a running server (omit with --url)",
+        "submit", help="submit a solve request to a service gateway"
     )
     submit.add_argument("graph", help="edge-list file")
+    submit.add_argument(
+        "--url", required=True, metavar="http://HOST:PORT",
+        help="gateway of a running 'qmkp serve'; submission is idempotent "
+        "and the --wait stream reconnect-resumable",
+    )
     submit.add_argument("-k", type=int, default=2)
     submit.add_argument(
         "--solver",
@@ -229,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
         "--name", default=None,
-        help="request name (also the spool artifact basename)",
+        help="request name (prefixes the job's checkpoint and receipt "
+        "file names)",
     )
     submit.add_argument(
         "--deadline", type=float, default=None, metavar="GATE_UNITS",
@@ -241,22 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--wait", action="store_true",
-        help="block until the result file appears and print the answer",
+        help="stream incumbents until the job settles and print the answer",
     )
     submit.add_argument(
         "--timeout", type=float, default=120.0,
-        help="--wait timeout in seconds (default 120)",
+        help="per-request socket timeout in seconds (default 120)",
     )
     submit.add_argument(
         "--edits", metavar="PATH", default=None,
         help="edit-script file: submit a dynamic mutation job (qmkp "
         "only) that re-solves incrementally after every edit",
-    )
-    submit.add_argument(
-        "--url", default=None, metavar="http://HOST:PORT",
-        help="submit over the HTTP gateway instead of a spool; "
-        "idempotent and reconnect-resumable (implies streaming "
-        "incumbents when combined with --wait)",
     )
 
     watch = sub.add_parser(
@@ -791,7 +770,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     from pathlib import Path
 
-    from .service import ServiceConfig, Supervisor, serve_spool
+    from .service import Gateway, ServiceConfig, Supervisor
 
     budgets: dict[str, float] = {}
     for item in args.tenant_budget or []:
@@ -809,40 +788,36 @@ def _cmd_serve(args) -> int:
                 f"error: --tenant-budget {item!r}: not a number", file=sys.stderr
             )
             return 2
-    workdir = args.workdir or str(Path(args.spool) / "work")
     shared_cache_dir = None
     if args.shared_cache_dir is not None:
         shared_cache_dir = args.shared_cache_dir
     elif args.shared_cache:
         # Default under the workdir: shared segments then survive server
         # restarts exactly as long as the checkpoints they sit next to.
-        shared_cache_dir = str(Path(workdir) / "shared-cache")
+        shared_cache_dir = str(Path(args.workdir) / "shared-cache")
     try:
         config = ServiceConfig(
             workers=args.workers,
             queue_capacity=args.queue_capacity,
             max_resumes=args.max_resumes,
             tenant_budgets=budgets,
-            workdir=workdir,
+            workdir=args.workdir,
             shared_cache_dir=shared_cache_dir,
-            spool_retention_s=args.spool_retention,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    http_host = http_port = None
-    if args.http is not None:
-        http_host, sep, port_text = args.http.rpartition(":")
-        try:
-            http_port = int(port_text)
-        except ValueError:
-            sep = ""
-        if not sep or not http_host:
-            print(
-                f"error: --http expects HOST:PORT, got {args.http!r}",
-                file=sys.stderr,
-            )
-            return 2
+    http_host, sep, port_text = args.http.rpartition(":")
+    try:
+        http_port = int(port_text)
+    except ValueError:
+        sep = ""
+    if not sep or not http_host:
+        print(
+            f"error: --http expects HOST:PORT, got {args.http!r}",
+            file=sys.stderr,
+        )
+        return 2
 
     async def run() -> int:
         import signal as _signal
@@ -856,61 +831,30 @@ def _cmd_serve(args) -> int:
         # harness) suspends rather than drops its jobs.
         loop.add_signal_handler(_signal.SIGINT, interrupted.set)
         loop.add_signal_handler(_signal.SIGTERM, interrupted.set)
-        supervisor = Supervisor(config)
-        await supervisor.start()
-        gateway = None
-        if http_host is not None:
-            from .service import Gateway
-
+        try:
+            supervisor = Supervisor(config)
+            await supervisor.start()
             gateway = Gateway(supervisor, http_host, http_port)
             host, port = await gateway.start()
             print(f"gateway listening on http://{host}:{port}", flush=True)
-        serve_task = asyncio.ensure_future(serve_spool(
-            supervisor,
-            args.spool,
-            max_jobs=args.max_jobs,
-            idle_timeout_s=args.idle_timeout,
-        ))
-        stop_task = asyncio.ensure_future(interrupted.wait())
-        try:
-            await asyncio.wait(
-                {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if interrupted.is_set():
-                # Graceful suspend: drain the gateway's in-flight
-                # responses, SIGINT in-flight children so they flush
-                # their journals; queued jobs settle suspended.  The
-                # workdir keeps their checkpoints — the next serve
-                # against the same spool resumes them.
-                serve_task.cancel()
-                try:
-                    await serve_task
-                except asyncio.CancelledError:
-                    pass
-                if gateway is not None:
-                    await gateway.stop_accepting()
-                await supervisor.shutdown(drain=False)
-                if gateway is not None:
-                    await gateway.close()
-                print(
-                    "interrupted; suspended in-flight jobs are resumable "
-                    f"under {supervisor.workdir}",
-                    file=sys.stderr,
-                )
-                return 130
-            stop_task.cancel()
-            served = serve_task.result()
-            await supervisor.drain()
-            if gateway is not None:
-                await gateway.close()
+            await interrupted.wait()
+            # Graceful suspend: drain the gateway's in-flight responses,
+            # SIGINT in-flight children so they flush their journals;
+            # queued jobs settle suspended.  The workdir keeps their
+            # checkpoints — the next serve on the same workdir resumes
+            # them when their specs are resubmitted.
+            await gateway.stop_accepting()
+            await supervisor.shutdown(drain=False)
+            await gateway.close()
         finally:
             loop.remove_signal_handler(_signal.SIGINT)
             loop.remove_signal_handler(_signal.SIGTERM)
-        print(f"served {served} request(s)")
-        if args.metrics:
-            out = supervisor.render_metrics(args.metrics)
-            print(out, end="" if out.endswith("\n") else "\n")
-        return 0
+        print(
+            "interrupted; suspended in-flight jobs are resumable "
+            f"under {supervisor.workdir}",
+            file=sys.stderr,
+        )
+        return 130
 
     return asyncio.run(run())
 
@@ -928,11 +872,26 @@ def _print_answer(args, record: dict) -> int:
     return 1
 
 
-def _submit_http(args, spec) -> int:
+def _cmd_submit(args) -> int:
     """Gateway submission: idempotent POST, reconnect-resumable stream."""
-    from .service import GatewayClient, GatewayError
+    from .service import GatewayClient, GatewayError, JobSpec
 
-    client = GatewayClient(args.url, timeout_s=max(args.timeout, 10.0))
+    try:
+        spec = JobSpec(
+            graph_path=args.graph,
+            k=args.k,
+            solver=args.solver,
+            seed=args.seed,
+            tenant=args.tenant,
+            name=args.name,
+            gate_deadline=args.deadline,
+            runtime_us=args.runtime_us,
+            edits_path=args.edits,
+        )
+        client = GatewayClient(args.url, timeout_s=max(args.timeout, 10.0))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         doc = client.submit_with_retries(spec)
     except (GatewayError, OSError) as exc:
@@ -951,73 +910,10 @@ def _submit_http(args, spec) -> int:
 
     try:
         _, result = client.solve(spec, on_event=progress)
-    except GatewayError as exc:
+    except (GatewayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _print_answer(args, result)
-
-
-def _cmd_submit(args) -> int:
-    from .service import (
-        JobSpec,
-        NoServerError,
-        SpoolTimeout,
-        submit_to_spool,
-        wait_for_result,
-    )
-
-    if (args.spool is None) == (args.url is None):
-        print(
-            "error: provide either a SPOOL directory or --url, not "
-            + ("both" if args.spool else "neither"),
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        spec = JobSpec(
-            graph_path=args.graph,
-            k=args.k,
-            solver=args.solver,
-            seed=args.seed,
-            tenant=args.tenant,
-            name=args.name,
-            gate_deadline=args.deadline,
-            runtime_us=args.runtime_us,
-            edits_path=args.edits,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.url is not None:
-        return _submit_http(args, spec)
-    request_id = submit_to_spool(args.spool, spec)
-    print(f"submitted {request_id}")
-    if not args.wait:
-        return 0
-    try:
-        record = wait_for_result(
-            args.spool, request_id, timeout_s=args.timeout, require_server=True
-        )
-    except NoServerError:
-        # Distinguish "nobody is serving this spool" from "the result
-        # is merely still pending" — they need different operator
-        # action, and only one of them heals by waiting longer.
-        print(
-            f"error: no live server on spool {args.spool} (missing or "
-            "stale heartbeat); request "
-            f"{request_id!r} is parked — start 'repro serve "
-            f"{args.spool}' to pick it up",
-            file=sys.stderr,
-        )
-        return 2
-    except SpoolTimeout as exc:
-        print(
-            f"error: {exc} (a live server is working the spool; the "
-            "result is still pending — re-run with a longer --timeout)",
-            file=sys.stderr,
-        )
-        return 2
-    return _print_answer(args, record)
 
 
 def _cmd_draw(args, graph) -> int:

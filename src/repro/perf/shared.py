@@ -100,8 +100,8 @@ class SharedTableStore:
     root:
         Store directory (created if missing).  Typically the service
         workdir's ``shared-cache/`` subdirectory, shared by every
-        worker subprocess of a spool run — and by successive service
-        restarts against the same workdir.
+        worker subprocess of one ``qmkp serve`` — and by successive
+        service restarts against the same workdir.
     max_attached:
         Attached-segment LRU bound: mappings for at most this many keys
         are kept alive; older attachments are dropped (the mmap closes

@@ -11,9 +11,11 @@ probes.  :class:`CheckpointJournal` is a line-oriented JSON WAL:
   rebuild the :class:`~repro.core.qtkp.QTKPResult`, and the measurement
   RNG's bit-generator state *after* the probe.
 
-Appends are flushed and fsynced before the search advances, so a
-SIGKILL can lose at most the probe in flight; a torn final line
-(the crash landed mid-write) is detected and dropped on load.  Resuming
+The file is a :mod:`~repro.resilience.jsonlog` log.  Appends are
+flushed and fsynced before the search advances, so a SIGKILL can lose
+at most the probe in flight; a torn final line (the crash landed
+mid-write) is dropped on load and cut off before a resumed run appends
+to the journal.  Resuming
 (``qmkp(..., resume=PATH)``) replays the recorded probes through the
 same binary-search update rule, re-verifies every witness classically,
 restores the RNG state, and continues live — bit-identical to the run
@@ -28,6 +30,8 @@ import signal
 from pathlib import Path
 
 import numpy as np
+
+from .jsonlog import JsonLines, JsonLinesLog, read_json_lines
 
 __all__ = [
     "CheckpointError",
@@ -116,8 +120,9 @@ class CheckpointJournal:
         raises :class:`CheckpointMismatchError`.
     resume:
         ``True`` keeps an existing journal and appends after validating
-        its header (the kill-and-resume path); ``False`` (default)
-        starts the journal fresh, truncating any stale file at ``path``.
+        its header (the kill-and-resume path), cutting off a torn final
+        line first; ``False`` (default) starts the journal fresh,
+        truncating any stale file at ``path``.
     """
 
     def __init__(
@@ -128,19 +133,21 @@ class CheckpointJournal:
         self.header["schema"] = SCHEMA
         self.records_written = 0
         if resume and self.path.exists() and self.path.stat().st_size > 0:
-            existing, records = self.load(self.path)
+            lines = read_json_lines(self.path)
+            existing, records = self._parse(self.path, lines)
             validate_header(self.header, existing, str(self.path))
             self.records_written = len(records)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._log = JsonLinesLog(
+                self.path, keep=lines.end(len(lines.records))
+            )
         else:
-            self._fh = open(self.path, "w", encoding="utf-8")
+            self._log = JsonLinesLog(self.path)
             self._write_line(self.header)
 
     # ------------------------------------------------------------------
     def _write_line(self, payload: dict[str, object]) -> None:
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.append(payload)
+        self._log.sync()
 
     def append_probe(self, record: dict[str, object]) -> None:
         """Durably append one completed-probe record, then honour the
@@ -150,15 +157,14 @@ class CheckpointJournal:
         self.records_written += 1
         target = os.environ.get(CRASH_ENV)
         if target and self.records_written >= int(target):
-            self._fh.close()
+            self._log.close()
             os.kill(os.getpid(), signal.SIGKILL)
         target = os.environ.get(SIGINT_ENV)
         if target and self.records_written >= int(target):
             os.kill(os.getpid(), signal.SIGINT)
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -176,26 +182,16 @@ class CheckpointJournal:
         first line.  Neither holds any recoverable work, so auto-resume
         callers should treat both as a fresh start instead of erroring
         out and stranding the job file.  Returns ``True`` only when the
-        first line parses as a JSON object (header validity itself —
-        schema, instance binding — is still the loader's job, so a
-        *mismatched* journal keeps failing loudly rather than being
-        silently truncated).
+        first non-blank line parses as a JSON object (header validity
+        itself — schema, instance binding — is still the loader's job,
+        so a *mismatched* journal keeps failing loudly rather than
+        being silently truncated).
         """
-        path = Path(path)
         try:
-            if not path.exists() or path.stat().st_size == 0:
-                return False
-            with open(path, encoding="utf-8") as fh:
-                first = fh.readline()
+            records = read_json_lines(path).records
         except OSError:
             return False
-        if not first.strip():
-            return False
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            return False  # torn header: the kill landed mid-write
-        return isinstance(header, dict)
+        return bool(records) and isinstance(records[0], dict)
 
     @staticmethod
     def load(path: str | Path) -> tuple[dict[str, object], list[dict[str, object]]]:
@@ -207,23 +203,20 @@ class CheckpointJournal:
         behind the WAL's back and raises
         :class:`CheckpointCorruptError`.
         """
-        path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines:
+        return CheckpointJournal._parse(Path(path), read_json_lines(path))
+
+    @staticmethod
+    def _parse(
+        path: Path, lines: JsonLines
+    ) -> tuple[dict[str, object], list[dict[str, object]]]:
+        if not lines.lines:
             raise CheckpointError(f"{path}: empty checkpoint journal")
-        parsed: list[dict[str, object]] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn tail from a mid-write kill: drop it
-                raise CheckpointCorruptError(
-                    f"{path}: unparseable journal line {i + 1} "
-                    "(not the final line — the file was modified)"
-                ) from None
+        if lines.bad_line is not None and not lines.torn:
+            raise CheckpointCorruptError(
+                f"{path}: unparseable journal line {lines.bad_line} "
+                "(not the final line — the file was modified)"
+            )
+        parsed = lines.records
         if not parsed:
             raise CheckpointError(f"{path}: no parseable journal lines")
         header = parsed[0]

@@ -31,8 +31,9 @@ Quick start (in-process)::
                 print("incumbent", inc.size)
             print(await job.result_dict())
 
-Across processes, use the file spool: ``repro serve SPOOL`` in one
-terminal, ``repro submit SPOOL GRAPH --wait`` in another.
+Across processes, use the HTTP/SSE gateway (:mod:`repro.service.http`):
+``qmkp serve WORKDIR --http HOST:PORT`` in one terminal,
+``qmkp submit --url http://HOST:PORT GRAPH --wait`` in another.
 """
 
 from .chaos import HOLD_ENV, ChaosPlan
@@ -49,15 +50,6 @@ from .jobs import (
 )
 from .http import Gateway, GatewayClient, GatewayError
 from .queue import JobQueue, TenantPools
-from .spool import (
-    NoServerError,
-    SpoolTimeout,
-    serve_spool,
-    spool_server_alive,
-    submit_to_spool,
-    sweep_spool,
-    wait_for_result,
-)
 from .sse import EventJournal
 from .supervisor import Supervisor
 from .worker import Worker
@@ -77,17 +69,10 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobSpec",
-    "NoServerError",
     "SOLVERS",
     "ServiceConfig",
     "ServiceError",
-    "SpoolTimeout",
     "Supervisor",
     "TenantPools",
     "Worker",
-    "serve_spool",
-    "spool_server_alive",
-    "submit_to_spool",
-    "sweep_spool",
-    "wait_for_result",
 ]

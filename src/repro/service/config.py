@@ -43,7 +43,8 @@ class ServiceConfig:
     tenant_budgets:
         Gate-unit allowance per tenant (absent tenant = unlimited).
     workdir:
-        Directory for per-job checkpoint journals and ledger receipts.
+        Directory for per-job checkpoint journals and ledger receipts
+        (and the gateway's event journals).
     shared_cache_dir:
         Directory of the fleet-shared marked-set table store
         (:class:`repro.perf.SharedTableStore`).  When set, every worker
@@ -52,14 +53,6 @@ class ServiceConfig:
         enumerate once per fleet instead of once per job.  None (the
         default) keeps workers fully independent — results, span trees,
         and ledgers are byte-identical to a service without the tier.
-    spool_retention_s:
-        Horizon for the spool's retention sweep: settled request records
-        (results + event logs + claimed request files) older than this
-        are garbage-collected while the server runs.  ``None`` (the
-        default) disables the sweep entirely.  Live and resumable
-        artifacts — pending requests, running jobs' event logs,
-        ``suspended`` records whose checkpoints are still on disk —
-        are never touched regardless of age.
     http_send_queue:
         Per-SSE-connection bound on buffered events.  A reader slow
         enough to fall this many events behind is evicted (connection
@@ -85,7 +78,6 @@ class ServiceConfig:
     tenant_budgets: dict[str, float] = field(default_factory=dict)
     workdir: str | Path | None = None
     shared_cache_dir: str | Path | None = None
-    spool_retention_s: float | None = None
     http_send_queue: int = 64
     http_heartbeat_s: float = 10.0
     http_write_timeout_s: float = 30.0
@@ -107,11 +99,6 @@ class ServiceConfig:
                 raise ValueError(
                     f"tenant {tenant!r} budget must be > 0, got {units}"
                 )
-        if self.spool_retention_s is not None and not self.spool_retention_s > 0:
-            raise ValueError(
-                "spool_retention_s must be > 0 (or None to disable), got "
-                f"{self.spool_retention_s}"
-            )
         if self.http_send_queue < 1:
             raise ValueError(
                 f"http_send_queue must be >= 1, got {self.http_send_queue}"

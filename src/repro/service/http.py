@@ -612,9 +612,10 @@ class Gateway:
 class GatewayClient:
     """Stdlib-only client speaking the gateway's fault contract.
 
-    * :meth:`submit` retries connection failures and 429s with
-      jittered exponential backoff (``policy.backoff_bound_us``),
-      honouring ``Retry-After`` when the gateway sends one;
+    * :meth:`submit_with_retries` retries connection failures, 503s
+      and backpressure 429s with jittered exponential backoff
+      (``policy.backoff_bound_us``), honouring ``retry_after_s`` when
+      the gateway sends one;
     * :meth:`solve` drives the full submit -> stream -> result loop
       with **auto-reconnect**: a dropped stream (or a restarted
       gateway) is re-entered via an idempotent re-POST plus
@@ -638,6 +639,7 @@ class GatewayClient:
             raise ValueError(f"no host in gateway url {base_url!r}")
         self.host = split.hostname
         self.port = split.port or 80
+        self.base_url = f"http://{self.host}:{self.port}"
         self.policy = policy or RetryPolicy(
             max_attempts=8, backoff_base_us=50_000.0, backoff_cap_us=2_000_000.0
         )
@@ -692,10 +694,15 @@ class GatewayClient:
         return doc
 
     def submit_with_retries(self, spec: JobSpec) -> dict:
-        """Idempotent submit loop: connection errors and 429s back off.
+        """Idempotent submit loop: connection errors, 503s and
+        backpressure 429s (the ones carrying ``retry_after_s``) back off.
 
         Safe to call any number of times — duplicates attach to the
-        original job server-side, which is the whole point.
+        original job server-side, which is the whole point.  A 429
+        without ``retry_after_s`` is an admission refusal: tenant pools
+        never refill, so it is raised at once.  When the attempts run
+        out, the last gateway answer is raised as it came, or — if no
+        attempt got one — a :class:`ConnectionError` naming the URL.
         """
         import time
 
@@ -704,17 +711,22 @@ class GatewayClient:
             try:
                 return self.submit(spec)
             except GatewayError as exc:
-                if exc.status not in (429, 503):
-                    raise  # 400/404/500 won't heal with a retry
+                retryable = exc.status == 503 or (
+                    exc.status == 429 and exc.retry_after_s is not None
+                )
+                if not retryable:
+                    raise  # 400/404/500 and admission won't heal with a retry
                 last_error = exc
                 time.sleep(self._backoff_s(attempt, exc.retry_after_s))
             except (ConnectionError, OSError) as exc:
                 last_error = exc
                 time.sleep(self._backoff_s(attempt))
-        raise GatewayError(503, {
-            "error": f"submission did not go through after "
-                     f"{self.policy.max_attempts} attempts: {last_error}",
-        })
+        if isinstance(last_error, GatewayError):
+            raise last_error
+        raise ConnectionError(
+            f"no gateway answered at {self.base_url} after "
+            f"{self.policy.max_attempts} attempts: {last_error}"
+        )
 
     def job(self, key: str) -> tuple[int, dict]:
         return self._request_json("GET", f"/v1/jobs/{key}")
@@ -828,5 +840,5 @@ class GatewayClient:
             # index and resumes a suspended job; a live one is replayed.
             try:
                 self.submit_with_retries(spec)
-            except GatewayError:
+            except (GatewayError, OSError):
                 continue  # keep trying from the stream side

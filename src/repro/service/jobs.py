@@ -80,10 +80,10 @@ class AdmissionError(ServiceError):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One solve request, JSON-round-trippable for the spool front end.
+    """One solve request, JSON-round-trippable for the gateway's wire.
 
     ``name`` is an optional caller-chosen label; the chaos harness keys
-    its fault plans on it, and the spool uses it for artifact names.
+    its fault plans on it, and it prefixes the job's artifact names.
     ``gate_deadline`` is a per-job :class:`~repro.resilience.DeadlineBudget`
     in gate units (qmkp only) — on expiry the job degrades to the
     classical branch search inside the solver, per the PR 5 semantics.

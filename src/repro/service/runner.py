@@ -293,7 +293,7 @@ def execute(job: dict[str, object]) -> int:
         return 130
 
     # Cache counters ride along only when the fleet tier is on: with it
-    # off, result events, spool records, and receipts stay byte-identical
+    # off, result events, event journals, and receipts stay byte-identical
     # to a service that predates the shared store.
     if cache is not None and cache.shared is not None:
         extra = {**extra, "cache": cache.stats()}

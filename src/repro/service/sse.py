@@ -16,10 +16,11 @@ job ever streamed, with **monotone 1-based event ids**:
   ``replayed=True``; the journal recognises the re-announcement and
   does not re-journal it, which is what makes the client's stream
   duplicate-free across worker crashes and gateway kills;
-* the file is written line-by-line with a flush per record and loaded
-  with torn-tail tolerance (same discipline as the checkpoint WAL): a
-  gateway SIGKILLed mid-append costs at most the final line, and a
-  bit-identical resume regenerates it with the same id.
+* the file is a :mod:`~repro.resilience.jsonlog` log, flushed per
+  record (the checkpoint WAL's format, without its fsync): a gateway
+  SIGKILLed mid-append costs at most the final line, which the
+  successor cuts off before its first append; a bit-identical resume
+  regenerates the event with the same id.
 
 Fan-out to live connections goes through bounded
 :class:`Subscription` queues.  A subscriber that falls
@@ -35,6 +36,8 @@ import asyncio
 import hashlib
 import json
 from pathlib import Path
+
+from ..resilience.jsonlog import JsonLinesLog, read_json_lines
 
 __all__ = [
     "EventJournal",
@@ -94,30 +97,34 @@ class EventJournal:
         self._digests: set[str] = set()
         self.terminal: dict | None = None
         self._subscribers: set[Subscription] = set()
-        self._load()
+        keep = self._load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._log = JsonLinesLog(self.path, keep=keep)
 
-    def _load(self) -> None:
-        """Reopen an existing journal (gateway restart), torn-tail safe."""
+    def _load(self) -> int:
+        """Reopen an existing journal (gateway restart), torn-tail safe.
+
+        Returns the byte length of the accepted prefix; whatever follows
+        it is cut off before the next append.
+        """
         try:
-            text = self.path.read_text(encoding="utf-8")
+            lines = read_json_lines(self.path)
         except OSError:
-            return
-        for line in text.splitlines():
+            return 0
+        for record in lines.records:
             try:
-                record = json.loads(line)
                 record_id = int(record["id"])
                 type_ = str(record["type"])
                 data = dict(record["data"])
             except (ValueError, KeyError, TypeError):
-                break  # torn tail: the predecessor died mid-append
+                break  # not an event record: the journal ends before it
             if record_id != len(self.records) + 1:
                 break  # out-of-sequence tail — treat like torn
             self.records.append({"id": record_id, "type": type_, "data": data})
             self._digests.add(_digest(type_, data))
             if type_ in TERMINAL_TYPES:
                 self.terminal = self.records[-1]
+        return lines.end(len(self.records))
 
     # ------------------------------------------------------------------
     @property
@@ -142,8 +149,7 @@ class EventJournal:
         self._digests.add(digest)
         if type_ in TERMINAL_TYPES:
             self.terminal = record
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._log.append(record)
         for sub in list(self._subscribers):
             if sub.evicted:
                 continue
@@ -168,7 +174,7 @@ class EventJournal:
         return sub
 
     def close(self) -> None:
-        self._fh.close()
+        self._log.close()
         self._subscribers.clear()
 
 

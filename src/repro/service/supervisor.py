@@ -273,7 +273,7 @@ class Supervisor:
 
         Each job subprocess dies with its in-process counters; this is
         the only place they outlive the child, so shared-tier
-        effectiveness is observable per spool run.  Gauges (not
+        effectiveness is observable on ``/v1/metrics``.  Gauges (not
         counters) on purpose: the ledger's registry cross-check covers
         counters only, and these totals aggregate *other* processes'
         ledgers — they must not be claimed against this tracer's spans.

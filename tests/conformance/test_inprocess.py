@@ -1,0 +1,59 @@
+"""In-process qMKP: every kernel tier under every cache mode.
+
+Cache off re-scans per probe; the LRU shares one table across probes;
+the shared tier publishes to a :class:`SharedTableStore` on the first
+solve and attaches from it on the second.  All of them must give the
+in-process default's answer, byte for byte in its cost accounting.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import qmkp
+from repro.perf import MarkedSetCache, SharedTableStore
+from repro.perf.kernels import available_backends
+
+from .corpus import check_qmkp, graphs
+
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+KS = st.integers(min_value=1, max_value=3)
+SEEDS = st.integers(min_value=0, max_value=2**16)
+
+
+def _solve(graph, k, seed, **kwargs):
+    result = qmkp(graph, k, rng=np.random.default_rng(seed), **kwargs)
+    check_qmkp(graph, k, seed, result.subset, result.gate_units,
+               result.oracle_calls)
+
+
+@pytest.mark.parametrize("kernel", available_backends())
+class TestTiers:
+    @SETTINGS
+    @given(graph=graphs(), k=KS, seed=SEEDS)
+    def test_cache_off(self, kernel, graph, k, seed):
+        _solve(graph, k, seed, use_cache=False, kernel=kernel)
+
+    @SETTINGS
+    @given(graph=graphs(), k=KS, seed=SEEDS)
+    def test_lru_cache(self, kernel, graph, k, seed):
+        _solve(graph, k, seed, cache=MarkedSetCache(kernel=kernel))
+
+    @SETTINGS
+    @given(graph=graphs(), k=KS, seed=SEEDS)
+    def test_shared_store(self, kernel, tmp_path, graph, k, seed):
+        store = SharedTableStore(tmp_path / "store")
+        publisher = MarkedSetCache(kernel=kernel, shared=store)
+        _solve(graph, k, seed, cache=publisher)
+        attacher = MarkedSetCache(kernel=kernel, shared=store)
+        _solve(graph, k, seed, cache=attacher)
+        stats = attacher.stats()  # every table came from the store
+        assert stats["shared_misses"] == 0
+        assert stats["shared_hits"] == stats["misses"]

@@ -1,4 +1,4 @@
-"""CLI integration: graceful SIGINT, checkpoint fresh-start, spool serve.
+"""CLI integration: graceful SIGINT, checkpoint fresh-start, gateway.
 
 Covers the operator-facing robustness contracts:
 
@@ -7,7 +7,9 @@ Covers the operator-facing robustness contracts:
   to the bit-identical answer;
 * a zero-length / torn-header checkpoint file is a fresh start, not a
   refusal (exit 0, no resume);
-* ``submit`` + ``serve`` round-trip a job through the file spool.
+* ``submit --url`` against ``serve WORKDIR --http``: streaming,
+  idempotent replay, and one-line exit-2 diagnoses when no gateway
+  answers or a tenant pool is dry.
 """
 
 from __future__ import annotations
@@ -121,164 +123,16 @@ class TestFreshStartCheckpoints:
         assert "schema" in header
 
 
-class TestSpool:
-    def test_submit_then_serve_round_trip(self, graph_file, tmp_path):
-        spool = tmp_path / "spool"
-        submitted = _run_cli(
-            [
-                "submit", str(spool), graph_file,
-                "-k", "2", "--solver", "qmkp", "--seed", "7",
-                "--name", "demo",
-            ],
-            tmp_path,
-        )
-        assert submitted.returncode == 0, submitted.stderr
-        assert "submitted demo" in submitted.stdout
-
-        served = _run_cli(
-            [
-                "serve", str(spool),
-                "--max-jobs", "1", "--workers", "1", "--metrics", "prom",
-            ],
-            tmp_path,
-        )
-        assert served.returncode == 0, served.stderr
-        assert "served 1 request(s)" in served.stdout
-        assert "repro_service_jobs_completed_total 1" in served.stdout
-
-        record = json.loads((spool / "results" / "demo.json").read_text())
-        assert record["state"] == "done"
-        assert record["verified"] is True
-        reference = _run_cli(["solve", graph_file, *ARGS], tmp_path)
-        size_line = f"maximum 2-plex size: {record['answer']['size']}"
-        assert size_line in reference.stdout
-        # The anytime event log ends at the final answer.
-        events = [
-            json.loads(line)
-            for line in (spool / "events" / "demo.jsonl").read_text().splitlines()
-        ]
-        assert events[-1]["size"] == record["answer"]["size"]
-        # The per-job receipt carries a reconciled ledger.
-        receipt = json.loads(Path(record["receipt"]).read_text())
-        assert receipt["ledger"]["verified"] is True
-
-    def test_submit_wait_prints_the_answer(self, graph_file, tmp_path):
-        import threading
-
-        spool = tmp_path / "spool"
-        server = threading.Thread(
-            target=_run_cli,
-            args=(
-                ["serve", str(spool), "--max-jobs", "1", "--workers", "1"],
-                tmp_path,
-            ),
-        )
-        server.start()
-        try:
-            waited = _run_cli(
-                [
-                    "submit", str(spool), graph_file,
-                    "-k", "2", "--seed", "7", "--name", "waited", "--wait",
-                ],
-                tmp_path,
-            )
-        finally:
-            server.join(timeout=120)
-        assert waited.returncode == 0, waited.stderr
-        assert "maximum 2-plex size:" in waited.stdout
-
-    def test_wait_on_rejected_record_exits_nonzero_with_reason(
-        self, graph_file, tmp_path
-    ):
-        # Regression: --wait used to exit 0 on *any* settled record,
-        # reporting "size: None" for a rejected job instead of failing.
-        import threading
-        import time
-
-        spool = tmp_path / "spool"
-        ok = _run_cli(
-            [
-                "submit", str(spool), graph_file,
-                "-k", "2", "--seed", "7", "--name", "a-first",
-            ],
-            tmp_path,
-        )
-        assert ok.returncode == 0, ok.stderr
-
-        # The waiter's own request is the one that gets rejected: its
-        # file is spooled before the server starts, so the server's
-        # first claim pass admits "a-first" and — the one-slot queue
-        # being full with no await in between — turns "b-burst" away.
-        waited: list = []
-        waiter = threading.Thread(
-            target=lambda: waited.append(_run_cli(
-                [
-                    "submit", str(spool), graph_file,
-                    "-k", "2", "--seed", "7", "--name", "b-burst", "--wait",
-                    "--timeout", "60",
-                ],
-                tmp_path,
-            ))
-        )
-        waiter.start()
-        try:
-            for _ in range(200):
-                if (spool / "jobs" / "b-burst.json").exists():
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("waiter never spooled its request")
-            served = _run_cli(
-                [
-                    "serve", str(spool),
-                    "--queue-capacity", "1", "--workers", "1",
-                    "--max-jobs", "2",
-                ],
-                tmp_path,
-            )
-        finally:
-            waiter.join(timeout=120)
-        assert served.returncode == 0, served.stderr
-        record = json.loads((spool / "results" / "b-burst.json").read_text())
-        assert record["state"] == "rejected"
-        assert "BackpressureError" in record["error"]
-
-        result = waited[0]
-        assert result.returncode == 1
-        assert "job settled rejected" in result.stderr
-        assert "BackpressureError" in result.stderr
-        assert "maximum" not in result.stdout
-
-    def test_wait_with_no_server_diagnoses_not_timeouts(
-        self, graph_file, tmp_path
-    ):
-        # A spool nobody serves must produce the "no live server" exit-2
-        # diagnosis (after the boot grace), not a generic timeout that
-        # sends the operator hunting for a slow solve.
-        spool = tmp_path / "spool"
-        result = _run_cli(
-            [
-                "submit", str(spool), graph_file,
-                "-k", "2", "--seed", "7", "--name", "orphan", "--wait",
-                "--timeout", "60",
-            ],
-            tmp_path,
-        )
-        assert result.returncode == 2
-        assert "no live server" in result.stderr
-        assert "orphan" in result.stderr
-
-
 class TestGatewayCLI:
-    def _start_server(self, spool, tmp_path, extra=()):
-        """Launch ``serve --http`` and return (process, base_url)."""
+    def _start_server(self, workdir, tmp_path, extra=()):
+        """Launch ``serve WORKDIR --http`` and return (process, base_url)."""
         import threading
 
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve", str(spool),
+                sys.executable, "-m", "repro", "serve", str(workdir),
                 "--http", "127.0.0.1:0", "--workers", "1", *extra,
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -298,8 +152,7 @@ class TestGatewayCLI:
     def test_submit_url_streams_and_replays(self, graph_file, tmp_path):
         import signal
 
-        spool = tmp_path / "spool"
-        proc, url = self._start_server(spool, tmp_path)
+        proc, url = self._start_server(tmp_path / "work", tmp_path)
         try:
             waited = _run_cli(
                 [
@@ -326,16 +179,62 @@ class TestGatewayCLI:
         assert proc.returncode == 130, err
         assert "resumable" in err
 
-    def test_submit_needs_exactly_one_front_end(self, graph_file, tmp_path):
-        both = _run_cli(
-            [
-                "submit", str(tmp_path / "spool"), graph_file,
-                "--url", "http://127.0.0.1:1",
-            ],
+    def test_submit_without_url_exits_2(self, graph_file, tmp_path):
+        result = _run_cli(["submit", graph_file], tmp_path)
+        assert result.returncode == 2
+        assert "--url" in result.stderr
+
+    def test_serve_without_http_exits_2(self, tmp_path):
+        result = _run_cli(["serve", str(tmp_path / "work")], tmp_path)
+        assert result.returncode == 2
+        assert "--http" in result.stderr
+        assert not (tmp_path / "work").exists()
+
+    def test_unreachable_gateway_is_named_not_a_503(self, graph_file, tmp_path):
+        result = _run_cli(
+            ["submit", "--url", "http://127.0.0.1:1", graph_file, "--wait"],
             tmp_path,
         )
-        assert both.returncode == 2
-        assert "not both" in both.stderr
-        neither = _run_cli(["submit", graph_file], tmp_path)
-        assert neither.returncode == 2
-        assert "neither" in neither.stderr
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "no gateway answered at http://127.0.0.1:1" in lines[0]
+        assert "503" not in lines[0]
+        assert result.stdout == ""
+
+    def test_dry_tenant_pool_exits_2_at_once(self, graph_file, tmp_path):
+        import signal
+        import time
+
+        proc, url = self._start_server(
+            tmp_path / "work", tmp_path, ("--tenant-budget", "acme=1"),
+        )
+        try:
+            first = _run_cli(
+                [
+                    "submit", "--url", url, graph_file,
+                    "--tenant", "acme", "--seed", "7", "--wait",
+                ],
+                tmp_path,
+            )
+            assert first.returncode == 0, first.stderr
+            start = time.monotonic()
+            refused = _run_cli(
+                [
+                    "submit", "--url", url, graph_file,
+                    "--tenant", "acme", "--seed", "8", "--wait",
+                ],
+                tmp_path,
+            )
+            elapsed = time.monotonic() - start
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=60)
+        assert refused.returncode == 2
+        lines = refused.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: gateway returned 429: tenant 'acme'")
+        assert "budget exhausted" in lines[0]
+        # Refused on the first answer, not after a retry ladder (the
+        # default policy would spend ~6 s before giving up).
+        assert elapsed < 5.0

@@ -112,6 +112,47 @@ class TestJournal:
         _, records = CheckpointJournal.load(path)
         assert [r["threshold"] for r in records] == [3]
 
+    def test_torn_tail_is_cut_before_a_resumed_append(self, tmp_path):
+        # Regression: the resumed journal used to append onto the torn
+        # fragment, gluing the next probe to it, so a job killed twice
+        # could never load its journal again.
+        path = tmp_path / "run.wal"
+        with CheckpointJournal(path, HEADER) as journal:
+            journal.append_probe({"threshold": 3})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"threshold": 5, "fo')  # kill mid-write
+        with CheckpointJournal(path, HEADER, resume=True) as journal:
+            assert journal.records_written == 1
+            journal.append_probe({"threshold": 5})
+            journal.append_probe({"threshold": 6})
+        _, records = CheckpointJournal.load(path)
+        assert [r["threshold"] for r in records] == [3, 5, 6]
+
+    def test_unterminated_final_record_is_kept_and_terminated(self, tmp_path):
+        path = tmp_path / "run.wal"
+        with CheckpointJournal(path, HEADER) as journal:
+            journal.append_probe({"threshold": 3})
+        path.write_text(path.read_text().rstrip("\n"))  # lost its newline
+        _, records = CheckpointJournal.load(path)
+        assert [r["threshold"] for r in records] == [3]
+        with CheckpointJournal(path, HEADER, resume=True) as journal:
+            journal.append_probe({"threshold": 5})
+        _, records = CheckpointJournal.load(path)
+        assert [r["threshold"] for r in records] == [3, 5]
+
+    def test_glued_line_is_still_refused(self, tmp_path):
+        # A journal damaged by the old append-onto-a-torn-tail bug holds
+        # an unparseable line that is not the last: that stays corrupt.
+        path = tmp_path / "run.wal"
+        with CheckpointJournal(path, HEADER) as journal:
+            journal.append_probe({"threshold": 3})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"threshold": 5, "fo')
+            fh.write(json.dumps({"threshold": 5}) + "\n")
+            fh.write(json.dumps({"threshold": 6}) + "\n")
+        with pytest.raises(CheckpointCorruptError, match="line 3"):
+            CheckpointJournal.load(path)
+
     def test_interior_corruption_raises(self, tmp_path):
         path = tmp_path / "run.wal"
         with CheckpointJournal(path, HEADER) as journal:
@@ -230,6 +271,22 @@ class TestQmkpResume:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointCorruptError, match="re-verification"):
             self._run(fig1, resume=path)
+
+    def test_resume_from_a_torn_journal_finishes_a_loadable_one(self, tmp_path):
+        graph = _ladder_graph()
+        ref_path = tmp_path / "ref.wal"
+        ref = qmkp(graph, 2, rng=123, checkpoint=ref_path)
+        lines = ref_path.read_text().splitlines()
+        torn = tmp_path / "torn.wal"
+        # Killed mid-write of the second probe record.
+        torn.write_text("\n".join(lines[:2]) + "\n" + lines[2][:25])
+        res = qmkp(graph, 2, rng=123, checkpoint=torn, resume=torn)
+        assert res.resumed_probes == 1
+        assert res.subset == ref.subset
+        assert res.gate_units == ref.gate_units
+        header, records = CheckpointJournal.load(torn)
+        assert len(records) == ref.qtkp_calls
+        assert torn.read_text() == ref_path.read_text()
 
     def test_checkpointing_does_not_change_the_answer(self, fig1, tmp_path):
         reference = self._run(fig1)

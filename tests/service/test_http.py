@@ -27,6 +27,7 @@ from repro.service import (
     ServiceConfig,
     Supervisor,
 )
+from repro.resilience import RetryPolicy
 from repro.service.http import DropConnection
 from repro.service.jobs import Job
 
@@ -143,6 +144,69 @@ class TestSubmission:
         assert error.body["error_type"] == "AdmissionError"
         assert error.body["tenant"] == "acme"
         assert error.body["budget"] == 100
+
+    def test_admission_refusal_is_raised_without_retrying(
+        self, graph_file, tmp_path, monkeypatch
+    ):
+        # A dry tenant pool never refills, and the gateway says so by
+        # sending no retry_after_s: the client must not back off on it.
+        calls: list = []
+
+        async def scenario(sup, gateway, client):
+            def broke(spec):
+                calls.append(spec)
+                raise AdmissionError(tenant="acme", budget=1, charged=882)
+
+            monkeypatch.setattr(sup, "submit_idempotent", broke)
+            with pytest.raises(GatewayError) as err:
+                await asyncio.to_thread(
+                    client.submit_with_retries, JobSpec(graph_file, k=2)
+                )
+            return err.value
+
+        error = asyncio.run(_serving(_config(tmp_path), scenario))
+        assert len(calls) == 1
+        assert error.status == 429
+        assert error.retry_after_s is None
+        assert str(error).startswith("gateway returned 429: tenant 'acme'")
+
+    def test_backpressure_is_retried_after_the_hinted_delay(
+        self, graph_file, tmp_path, monkeypatch
+    ):
+        calls: list = []
+
+        async def scenario(sup, gateway, client):
+            admit = sup.submit_idempotent
+
+            def full_once(spec):
+                calls.append(spec)
+                if len(calls) == 1:
+                    raise BackpressureError(capacity=4, depth=4)
+                return admit(spec)
+
+            monkeypatch.setattr(sup, "submit_idempotent", full_once)
+            return await asyncio.to_thread(
+                client.submit_with_retries, JobSpec(graph_file, k=2, seed=7)
+            )
+
+        doc = asyncio.run(_serving(_config(tmp_path, workers=1), scenario))
+        assert len(calls) == 2
+        assert doc["replayed"] is False
+
+    def test_unreachable_gateway_names_the_url(self):
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        policy = RetryPolicy(
+            max_attempts=3, backoff_base_us=0.0, backoff_cap_us=0.0
+        )
+        client = GatewayClient(f"http://127.0.0.1:{port}", policy=policy)
+        with pytest.raises(ConnectionError) as err:
+            client.submit_with_retries(JobSpec("g.edges", k=2))
+        assert not isinstance(err.value, GatewayError)
+        assert str(err.value).startswith(
+            f"no gateway answered at http://127.0.0.1:{port} after 3 attempts"
+        )
 
 
 class TestRouting:

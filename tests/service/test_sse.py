@@ -111,6 +111,49 @@ class TestEventJournal:
         # client-visible sequence gap-free.
         assert reloaded.append("incumbent", {"n": 3})["id"] == 3
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # Regression: the reopened journal used to append onto the torn
+        # fragment, so the second restart lost every event written after
+        # the first one and handed their ids out again.
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        journal.append("incumbent", {"n": 1})
+        journal.append("incumbent", {"n": 2})
+        journal.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": 3, "type": "incumbent", "da')  # torn mid-append
+
+        reopened = EventJournal(path)
+        reopened.append("incumbent", {"n": 3})
+        reopened.append("incumbent", {"n": 4})
+        reopened.close()
+
+        again = EventJournal(path)
+        assert again.last_id == 4
+        assert [r["data"]["n"] for r in again.replay(0)] == [1, 2, 3, 4]
+        assert [r["id"] for r in again.replay(0)] == [1, 2, 3, 4]
+        assert again.append("incumbent", {"n": 5})["id"] == 5
+
+    def test_glued_line_ends_the_journal_and_is_cut(self, tmp_path):
+        # A journal damaged by the old bug: a fragment with a whole
+        # record glued onto it, then more records.  Loading stops before
+        # the glued line; reopening cuts it and everything after it.
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        journal.append("incumbent", {"n": 1})
+        journal.close()
+        stray = {"id": 2, "type": "incumbent", "data": {"n": 2}}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": 2, "type": "incumbent", "da')
+            fh.write(json.dumps(stray) + "\n")
+            fh.write(json.dumps(dict(stray, id=3)) + "\n")
+
+        reopened = EventJournal(path)
+        assert reopened.last_id == 1
+        reopened.append("incumbent", {"n": 2})
+        reopened.close()
+        assert [r["id"] for r in EventJournal(path).replay(0)] == [1, 2]
+
     def test_out_of_sequence_tail_is_discarded(self, tmp_path):
         path = tmp_path / "j.jsonl"
         records = [
