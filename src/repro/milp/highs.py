@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..annealing import BinaryQuadraticModel
 from .linearize import LinearizedProblem, linearize_qubo
@@ -54,6 +53,10 @@ def solve_with_highs(
     problem:
         A pre-computed linearisation (rebuilt when omitted).
     """
+    # Imported here, not at module load: SciPy's optimize stack is most
+    # of ``import repro``'s cost, and only this solver needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     lin = problem or linearize_qubo(bqm)
     total = lin.num_x + lin.num_y
     constraints = []

@@ -30,7 +30,6 @@ from .cache import MarkedSetCache, MarkedSetTable, PredicateMaskCache
 from .kernels import KernelBackend, available_backends, resolve as resolve_kernel
 from .shared import (
     PUBLISH_KILL_ENV,
-    SHARED_CACHE_ENV,
     SegmentError,
     SharedTableStore,
 )
@@ -38,7 +37,6 @@ from .shared import (
 __all__ = [
     "MAX_VERTICES",
     "PUBLISH_KILL_ENV",
-    "SHARED_CACHE_ENV",
     "CSRQuadratic",
     "KernelBackend",
     "MarkedSetCache",

@@ -45,11 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-try:  # compiled sparse matmul for the field setup; pure-NumPy fallback below
-    import scipy.sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only without SciPy
-    _sparse = None
-
 __all__ = [
     "CSRQuadratic",
     "SweepPlan",
@@ -63,6 +58,20 @@ __all__ = [
     "sa_shard_reads",
     "tabu_descend",
 ]
+
+
+def _csr(data, indices, indptr, shape):
+    """SciPy CSR matrix over the given arrays, or ``None`` without SciPy.
+
+    The compiled sparse matmul serves the field set-up; callers fall
+    back to pure NumPy on ``None``.  SciPy is imported on first use, so
+    importing this module does not load it.
+    """
+    try:
+        from scipy.sparse import csr_matrix
+    except ImportError:  # pragma: no cover - exercised only without SciPy
+        return None
+    return csr_matrix((data, indices, indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -160,12 +169,10 @@ class CSRQuadratic:
         Built (and validated) once per model so per-sweep field
         refreshes go straight to the compiled matmul.
         """
-        if _sparse is None or not self.data.size:
+        if not self.data.size:
             return None
         n = self.num_variables
-        return _sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(n, n)
-        )
+        return _csr(self.data, self.indices, self.indptr, (n, n))
 
     @cached_property
     def sweep_plan(self) -> list:
@@ -215,9 +222,9 @@ def local_fields(
     """
     states = np.asarray(states, dtype=np.float64)
     num_reads = states.shape[0]
-    if _sparse is not None and data.size:
-        n = indptr.size - 1
-        j_sym = _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    n = indptr.size - 1
+    j_sym = _csr(data, indices, indptr, (n, n)) if data.size else None
+    if j_sym is not None:
         # J_sym is symmetric, so the row-wise product is one compiled
         # sparse @ dense multiply over the transposed batch.
         return np.asarray(h, dtype=np.float64) + (j_sym @ states.T).T
@@ -254,10 +261,10 @@ def refresh_fields_t(
     if not data.size:
         return np.repeat(h[:, None], spins_t.shape[1], axis=1)
     n = indptr.size - 1
+    if spmat is None:
+        spmat = _csr(data, indices, indptr, (n, n))
     if spmat is not None:
         jt = spmat @ spins_t
-    elif _sparse is not None:
-        jt = _sparse.csr_matrix((data, indices, indptr), shape=(n, n)) @ spins_t
     else:
         jt = np.empty_like(spins_t)
         for i in range(n):
@@ -322,10 +329,8 @@ def build_sweep_plan(
         sub_indices = indices[lo:hi]
         sub_data = data[lo:hi]
         jc = (
-            _sparse.csr_matrix(
-                (sub_data, sub_indices, sub_indptr), shape=(end - start, n)
-            )
-            if _sparse is not None and sub_data.size
+            _csr(sub_data, sub_indices, sub_indptr, (end - start, n))
+            if sub_data.size
             else None
         )
         iptr = [0]
@@ -554,11 +559,7 @@ def _sa_shard_worker(
 ) -> tuple[np.ndarray, np.ndarray]:
     h, indptr, indices, data, row_sums, states, betas, uniforms, kernel = args
     n = indptr.size - 1
-    spmat = (
-        _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        if _sparse is not None and data.size
-        else None
-    )
+    spmat = _csr(data, indices, indptr, (n, n)) if data.size else None
     plan = build_sweep_plan(h, indptr, indices, data, row_sums)
     spins_t = np.ascontiguousarray(states.T, dtype=np.float64)
     spins_t *= -2.0

@@ -1,7 +1,7 @@
 """Fleet-shared marked-set table store: mmap segments, crash-safe publish.
 
-The service layer runs every job in its own worker subprocess, so the
-per-process :class:`~repro.perf.MarkedSetCache` starts cold on every
+The service layer gives every job its own worker-side
+:class:`~repro.perf.MarkedSetCache`, so the cache starts cold on every
 request — identical graphs submitted by different tenants re-enumerate
 the same ``2^n`` mask space over and over.  This module gives the fleet
 one shared tier below the in-process LRU: a directory of mmap-backed
@@ -53,14 +53,9 @@ from .cache import MarkedSetTable
 
 __all__ = [
     "PUBLISH_KILL_ENV",
-    "SHARED_CACHE_ENV",
     "SegmentError",
     "SharedTableStore",
 ]
-
-#: Worker-subprocess hook: the service sets this to the shared store
-#: directory and the runner attaches its job cache to it.
-SHARED_CACHE_ENV = "REPRO_SHARED_CACHE_DIR"
 
 #: Chaos hook: SIGKILL the process mid-publish (after the temp segment
 #: is written, *before* the atomic rename) on the Nth publish attempt.

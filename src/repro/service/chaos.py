@@ -3,7 +3,8 @@
 A :class:`ChaosPlan` scripts faults against *named* jobs (the
 :attr:`~repro.service.jobs.JobSpec.name` field), keyed by attempt
 number, by injecting the checkpoint layer's deterministic signal hooks
-into the worker subprocess environment:
+into the job's environment (the job record's ``env``, which the runner
+applies for that job only):
 
 * ``kills[name] = [2, 3]`` — attempt 0 SIGKILLs itself after its 2nd
   journaled probe, attempt 1 (the resume) after its 3rd *cumulative*
@@ -74,7 +75,7 @@ class ChaosPlan:
         """Environment overrides for ``name``'s ``attempt``-th run.
 
         Returns an empty dict for unplanned jobs/attempts, so the
-        worker can apply it unconditionally.
+        worker can send it unconditionally in the job record.
         """
         env: dict[str, str] = {}
         if name is None:

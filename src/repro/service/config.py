@@ -31,7 +31,8 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Worker-slot count; each slot runs at most one job subprocess.
+        Worker-slot count; each slot keeps one runner subprocess and
+        runs one job at a time in it.
     queue_capacity:
         Bound of the fresh-submission lane (typed backpressure beyond).
     max_resumes:
@@ -47,12 +48,12 @@ class ServiceConfig:
         (and the gateway's event journals).
     shared_cache_dir:
         Directory of the fleet-shared marked-set table store
-        (:class:`repro.perf.SharedTableStore`).  When set, every worker
-        subprocess attaches its :class:`~repro.perf.MarkedSetCache` to
-        the store, so identical graphs submitted by different tenants
-        enumerate once per fleet instead of once per job.  None (the
-        default) keeps workers fully independent — results, span trees,
-        and ledgers are byte-identical to a service without the tier.
+        (:class:`repro.perf.SharedTableStore`).  When set, every job's
+        :class:`~repro.perf.MarkedSetCache` attaches to the store, so
+        identical graphs submitted by different tenants enumerate once
+        per fleet instead of once per job.  None (the default) keeps
+        jobs fully independent — results, span trees, and ledgers are
+        byte-identical to a service without the tier.
     http_send_queue:
         Per-SSE-connection bound on buffered events.  A reader slow
         enough to fall this many events behind is evicted (connection
@@ -67,7 +68,7 @@ class ServiceConfig:
         Deadline for flushing one SSE frame to a client socket; a
         stalled reader that blocks the write this long is evicted.
     python:
-        Interpreter used for worker subprocesses.
+        Interpreter used for the runner subprocesses.
     """
 
     workers: int = 2

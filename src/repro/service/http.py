@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -370,7 +371,9 @@ class Gateway:
         self._jobs[key] = job
         if not replayed:
             self._count("gateway_submissions")
-            self._pumps[key] = asyncio.ensure_future(self._pump(key, job))
+            self._pumps[key] = asyncio.ensure_future(
+                self._pump(key, job, time.perf_counter())
+            )
         await self._respond(writer, 200 if replayed else 201, {
             "job": key,
             "job_id": job.job_id,
@@ -380,7 +383,7 @@ class Gateway:
             "last_event_id": journal.last_id,
         })
 
-    async def _pump(self, key: str, job: Job) -> None:
+    async def _pump(self, key: str, job: Job, accepted_at: float) -> None:
         """Relay one job's anytime stream into its persistent journal.
 
         The journal deduplicates replayed incumbents, so a job that
@@ -408,7 +411,10 @@ class Gateway:
             terminal["degraded_from"] = list(job.degraded_from)
         if self._is_drift_failure(job):
             terminal["receipt_quarantined"] = self._quarantine_receipt(job)
-        journal.append("result", terminal)
+        if journal.append("result", terminal) is not None:
+            self.supervisor.tracer.observe(
+                "gateway_submit_to_result_s", time.perf_counter() - accepted_at
+            )
 
     @staticmethod
     def _is_drift_failure(job: Job) -> bool:
@@ -460,6 +466,7 @@ class Gateway:
                 "solver": job.solver,
                 "resumes": job.resumes,
                 "error": job.error,
+                "pid": job.child_pid,
             })
             if self._is_drift_failure(job):
                 # The answer exists but its audit trail does not

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,7 +225,7 @@ class Job:
         stem = artifact_stem or spec.artifact_stem()
         self.receipt_path = workdir / f"{stem}.receipt.json"
         self.checkpoint_path = workdir / f"{stem}.wal"
-        self.jobfile_path = workdir / f"{stem}.job.json"
+        self.queued_at = time.perf_counter()  # (re)entered the queue
         self.incumbents: list[IncumbentEvent] = []
         self._events: asyncio.Queue = asyncio.Queue()
         self._done = asyncio.Event()

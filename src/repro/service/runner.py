@@ -1,11 +1,17 @@
-"""Worker child process: execute one job spec, stream JSON events.
+"""Worker child process: serve job records from stdin, stream JSON events.
 
-This is what a service "worker" actually runs: ``python -m
-repro.service.runner JOB.json``.  Isolating each job in its own
-process is the crash boundary the supervisor's resume logic is built
-on — a SIGKILL here loses at most the probe in flight, because every
-completed qMKP probe is already fsynced in the job's write-ahead
-checkpoint journal.
+This is what a service "worker" slot actually runs: one long-lived
+``python -m repro.service.runner`` per slot, fed one JSON job record
+per stdin line.  The child pays interpreter start-up and imports once,
+not once per job, and it stays the crash boundary the supervisor's
+resume logic is built on — a SIGKILL here loses at most the probe in
+flight, because every completed qMKP probe is already fsynced in the
+job's write-ahead checkpoint journal.
+
+A job record carries the job's id, spec, checkpoint and receipt paths,
+and its per-job policy: ``shared_cache_dir`` (the fleet table store,
+or null) and ``env`` (chaos hooks, applied to ``os.environ`` for this
+job only).
 
 Protocol (one JSON object per stdout line, flushed immediately):
 
@@ -14,9 +20,16 @@ Protocol (one JSON object per stdout line, flushed immediately):
 * ``{"event": "incumbent", ...}`` — one verified feasible k-plex, the
   anytime stream (qMKP threshold probes and branch-search incumbents);
 * ``{"event": "suspended", ...}`` — a SIGINT landed; the journal is
-  flushed and the job is resumable at its checkpoint path (exit 130);
+  flushed and the job is resumable at its checkpoint path;
 * ``{"event": "result", ...}``    — the final answer plus the receipt
-  path (exit 0, or 3 when the traced run ledger failed to reconcile).
+  path;
+* ``{"event": "exit", ...}``      — the end of the job: ``code`` is 0,
+  2 (bad input; ``message`` holds the ``error: ...`` line), 3 (the
+  traced run ledger failed to reconcile) or 130 (suspended).
+
+The child exits on stdin EOF (code 0), and after a SIGINT: a job in
+flight is suspended and reported with code 130 first.  Any other
+exception ends the child with code 1 and a traceback on stderr.
 
 The ``answer`` sub-object of the result event contains only fields
 that are bit-identical between an undisturbed run and any
@@ -43,12 +56,12 @@ from ..graphs import read_edge_list
 from ..kplex import maximum_kplex
 from ..obs import RunLedger, Tracer
 from ..perf import MarkedSetCache
-from ..perf.shared import SHARED_CACHE_ENV, SharedTableStore
+from ..perf.shared import SharedTableStore
 from ..resilience import CheckpointError, CheckpointJournal
 from .chaos import HOLD_ENV
 from .jobs import JobSpec
 
-__all__ = ["execute", "main"]
+__all__ = ["execute", "main", "run_job"]
 
 
 def _emit(payload: dict[str, object]) -> None:
@@ -56,15 +69,16 @@ def _emit(payload: dict[str, object]) -> None:
     sys.stdout.flush()
 
 
-def _job_cache() -> MarkedSetCache:
-    """The job's marked-set cache, fleet-shared when the supervisor says so.
+def _job_cache(shared_dir: str | None) -> MarkedSetCache:
+    """The job's marked-set cache, fleet-shared when the record says so.
 
-    With ``REPRO_SHARED_CACHE_DIR`` unset this is exactly the run-local
-    cache ``qmkp``/``IncrementalSolver`` would have created themselves
-    (same defaults, same spans, same ledger) — building it here just
-    makes its counters observable in the result event either way.
+    With no ``shared_dir`` this is exactly the run-local cache
+    ``qmkp``/``IncrementalSolver`` would have created themselves (same
+    defaults, same spans, same ledger) — building it here just makes
+    its counters observable in the result event either way.  A fresh
+    cache per job keeps every job's cache counters and ledger the same
+    as in a child of its own.
     """
-    shared_dir = os.environ.get(SHARED_CACHE_ENV)
     shared = SharedTableStore(shared_dir) if shared_dir else None
     return MarkedSetCache(shared=shared)
 
@@ -244,12 +258,13 @@ def _solve_qamkp(spec: JobSpec, graph, labels, tracer):
     return answer, {"backend_used": result.info.get("backend_used", backend)}
 
 
-def execute(job: dict[str, object]) -> int:
-    """Run one job payload (see :func:`main` for the file format)."""
+def execute(job: dict[str, object]) -> tuple[int, str]:
+    """Run one job record: ``(exit code, diagnostic message)``."""
     job_id = str(job["job_id"])
     spec = JobSpec.from_dict(dict(job["spec"]))
     checkpoint = Path(str(job["checkpoint"]))
     receipt = Path(str(job["receipt"]))
+    shared_dir = job.get("shared_cache_dir")
 
     tracer = Tracer()
     try:
@@ -269,12 +284,12 @@ def execute(job: dict[str, object]) -> int:
         graph, labels = read_edge_list(spec.graph_path)
         cache = None
         if spec.solver == "qmkp" and spec.edits_path is not None:
-            cache = _job_cache()
+            cache = _job_cache(shared_dir)
             answer, extra = _solve_qmkp_dynamic(
                 spec, graph, labels, job_id, checkpoint, tracer, cache
             )
         elif spec.solver == "qmkp":
-            cache = _job_cache()
+            cache = _job_cache(shared_dir)
             answer, extra = _solve_qmkp(
                 spec, graph, labels, job_id, checkpoint, tracer, cache
             )
@@ -290,7 +305,7 @@ def execute(job: dict[str, object]) -> int:
             "job_id": job_id,
             "checkpoint": str(checkpoint),
         })
-        return 130
+        return 130, ""
 
     # Cache counters ride along only when the fleet tier is on: with it
     # off, result events, event journals, and receipts stay byte-identical
@@ -320,30 +335,45 @@ def execute(job: dict[str, object]) -> int:
         "receipt": str(receipt),
     })
     if drift:
-        for record in drift:
-            print(f"ledger drift: {record}", file=sys.stderr)
-        return 3
-    return 0
+        return 3, "\n".join(f"ledger drift: {record}" for record in drift)
+    return 0, ""
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m repro.service.runner JOB.json", file=sys.stderr)
-        return 2
+def run_job(job: dict[str, object]) -> int:
+    """Run one job record and report its end with an ``exit`` event.
+
+    The record's ``env`` overrides (chaos hooks) hold for this job
+    only: the child outlives the job, the hooks must not.
+    """
+    overrides = dict(job.get("env") or {})
+    os.environ.update(overrides)
     try:
-        job = json.loads(Path(argv[0]).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read job file {argv[0]}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return execute(job)
+        code, message = execute(job)
     except CheckpointError as exc:
-        print(f"error: checkpoint: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: checkpoint: {exc}"
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
+    finally:
+        for key in overrides:
+            os.environ.pop(key, None)
+    _emit({
+        "event": "exit",
+        "job_id": str(job["job_id"]),
+        "code": code,
+        "message": message,
+    })
+    return code
+
+
+def main() -> int:
+    """Serve job records from stdin until EOF or a SIGINT."""
+    try:
+        for line in iter(sys.stdin.readline, ""):
+            if run_job(json.loads(line)) == 130:
+                return 130
+    except KeyboardInterrupt:  # between jobs: nothing to suspend
+        return 130
+    return 0
 
 
 if __name__ == "__main__":

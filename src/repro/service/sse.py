@@ -20,7 +20,10 @@ job ever streamed, with **monotone 1-based event ids**:
   record (the checkpoint WAL's format, without its fsync): a gateway
   SIGKILLed mid-append costs at most the final line, which the
   successor cuts off before its first append; a bit-identical resume
-  regenerates the event with the same id.
+  regenerates the event with the same id;
+* a settled journal holds no open file: the handle closes with the
+  terminal record and reopens only if a resubmitted spec appends more,
+  so a long-lived gateway holds one handle per *live* job.
 
 Fan-out to live connections goes through bounded
 :class:`Subscription` queues.  A subscriber that falls
@@ -99,7 +102,9 @@ class EventJournal:
         self._subscribers: set[Subscription] = set()
         keep = self._load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._log = JsonLinesLog(self.path, keep=keep)
+        self._log: JsonLinesLog | None = JsonLinesLog(self.path, keep=keep)
+        if self.terminal is not None:
+            self._close_log()
 
     def _load(self) -> int:
         """Reopen an existing journal (gateway restart), torn-tail safe.
@@ -138,18 +143,26 @@ class EventJournal:
         of an already-journaled incumbent) is dropped.  A second
         terminal record is likewise dropped — the first final answer
         stands (any later one is bit-identical by the resume contract).
+
+        Either terminal closes the file handle: the job settled, and
+        only a resubmission of its spec can append again.
         """
         if type_ in TERMINAL_TYPES and self.terminal is not None:
+            self._close_log()
             return None
         digest = _digest(type_, data)
         if digest in self._digests:
             return None
         record = {"id": len(self.records) + 1, "type": type_, "data": data}
+        if self._log is None:  # reopen, keeping exactly what is journaled
+            keep = read_json_lines(self.path).end(len(self.records))
+            self._log = JsonLinesLog(self.path, keep=keep)
         self.records.append(record)
         self._digests.add(digest)
+        self._log.append(record)
         if type_ in TERMINAL_TYPES:
             self.terminal = record
-        self._log.append(record)
+            self._close_log()
         for sub in list(self._subscribers):
             if sub.evicted:
                 continue
@@ -173,8 +186,13 @@ class EventJournal:
         self._subscribers.add(sub)
         return sub
 
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+
     def close(self) -> None:
-        self._log.close()
+        self._close_log()
         self._subscribers.clear()
 
 

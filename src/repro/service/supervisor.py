@@ -4,10 +4,11 @@
 per-tenant admission pools, one :class:`~repro.resilience.CircuitBreaker`
 per backend, and ``config.workers`` worker slots.  Its invariants:
 
-* **Nothing is lost.**  A worker subprocess killed mid-job (negative
-  returncode) is detected here; if the job has resumes left it goes
-  back through the queue's priority lane and the next worker resumes
-  it **bit-identically** from its write-ahead checkpoint journal.
+* **Nothing is lost.**  A worker's runner child killed mid-job
+  (negative returncode) is detected here; if the job has resumes left
+  it goes back through the queue's priority lane and the next worker
+  resumes it **bit-identically** from its write-ahead checkpoint
+  journal.
 * **Nothing is silent.**  A full queue raises a typed
   :class:`~repro.service.jobs.BackpressureError` at submission; a dry
   tenant pool raises :class:`~repro.service.jobs.AdmissionError`; a job
@@ -17,9 +18,10 @@ per backend, and ``config.workers`` worker slots.  Its invariants:
   (:data:`~repro.service.config.DEGRADATION`); resumed jobs keep their
   original backend because bit-identical resume requires it.
 * **Shutdown checkpoints.**  ``shutdown(drain=False)`` SIGINTs
-  in-flight children — they flush their journals and exit 130 — and
+  in-flight children — they flush their journals and report 130 — and
   settles them ``suspended``; resubmitting the same spec against the
-  same workdir resumes where they stopped.
+  same workdir resumes where they stopped.  Idle children get EOF on
+  stdin; both shutdown paths return only once every child is reaped.
 
 Every counter lives in the supervisor's :class:`~repro.obs.Tracer`
 registry (``service_*``, plus the breakers' ``breaker_*`` instruments)
@@ -29,8 +31,8 @@ and renders as JSON or Prometheus text via :meth:`Supervisor.render_metrics`.
 from __future__ import annotations
 
 import asyncio
-import signal
 import tempfile
+import time
 from pathlib import Path
 
 from ..obs import Tracer
@@ -81,7 +83,11 @@ class Supervisor:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
+        """Start the worker slots (idempotent).
+
+        A slot spawns its runner child on its first dispatch, so an
+        idle service runs no children.
+        """
         if self._tasks:
             return
         for i in range(self.config.workers):
@@ -90,7 +96,8 @@ class Supervisor:
             self._tasks.append(asyncio.ensure_future(worker.run()))
 
     async def drain(self) -> None:
-        """Stop intake, finish everything queued and in flight."""
+        """Stop intake, finish everything queued and in flight, and
+        reap every runner child."""
         self.queue.close()
         self._update_depth()
         if self._tasks:
@@ -103,8 +110,9 @@ class Supervisor:
         ``drain=True`` finishes all admitted work first.  ``drain=False``
         is the graceful-suspend path: queued-but-unstarted jobs settle
         ``suspended`` immediately, in-flight children get SIGINT (they
-        flush their checkpoint journals and exit 130) and settle
-        ``suspended`` with their journals resumable on disk.
+        flush their checkpoint journals and report 130) and settle
+        ``suspended`` with their journals resumable on disk.  Returns
+        once every runner child has exited and been reaped.
         """
         if drain:
             await self.drain()
@@ -116,9 +124,7 @@ class Supervisor:
             self.tracer.add("service_jobs_suspended", 1)
             job.settle("suspended", "service shut down before the job started")
         for worker in self._workers:
-            proc = worker.proc
-            if proc is not None and proc.returncode is None:
-                proc.send_signal(signal.SIGINT)
+            worker.interrupt()
         if self._tasks:
             await asyncio.gather(*self._tasks)
         self._tasks = []
@@ -271,12 +277,13 @@ class Supervisor:
         """Fold one finished worker's `MarkedSetCache.stats()` into
         fleet-level ``service_cache_*`` gauges.
 
-        Each job subprocess dies with its in-process counters; this is
-        the only place they outlive the child, so shared-tier
-        effectiveness is observable on ``/v1/metrics``.  Gauges (not
-        counters) on purpose: the ledger's registry cross-check covers
-        counters only, and these totals aggregate *other* processes'
-        ledgers — they must not be claimed against this tracer's spans.
+        Each job's cache, and its counters, live only as long as the
+        job in the runner child; this is the only place they outlive
+        it, so shared-tier effectiveness is observable on
+        ``/v1/metrics``.  Gauges (not counters) on purpose: the
+        ledger's registry cross-check covers counters only, and these
+        totals aggregate *other* processes' ledgers — they must not be
+        claimed against this tracer's spans.
         """
         for key in (
             "hits", "misses", "patches", "reused_partitions",
@@ -290,7 +297,12 @@ class Supervisor:
                 ).inc(float(stats[key]))
 
     async def on_exit(self, job: Job, returncode: int, stderr: str) -> None:
-        """Apply the exit policy for one finished job subprocess."""
+        """Apply the exit policy for one finished job.
+
+        ``returncode`` is the code the runner reported for the job, or
+        the child's own returncode when it died mid-job (negative for a
+        signal); ``stderr`` is the job's diagnostic text.
+        """
         if returncode == 0 and job.result is not None:
             self.breaker(job.solver).record_success()
             answer = job.result.get("answer", {})
@@ -308,7 +320,6 @@ class Supervisor:
             # it behind in a persistent workdir would only shadow a
             # later resubmission of the same spec.  The receipt stays.
             job.checkpoint_path.unlink(missing_ok=True)
-            job.jobfile_path.unlink(missing_ok=True)
             job.settle("done")
             return
         if returncode == 130:
@@ -341,6 +352,7 @@ class Supervisor:
                 # replayed.
                 job.resumes += 1
                 self.tracer.add("service_jobs_resumed", 1)
+                job.queued_at = time.perf_counter()
                 self.queue.requeue(job)
                 self._update_depth()
                 return

@@ -1,0 +1,72 @@
+"""SciPy loads only on the paths that use it.
+
+``scipy.optimize`` (HiGHS) and ``scipy.sparse`` (the annealing CSR fast
+path) used to load with ``import repro``, so every CLI call and every
+service runner paid for them.  These checks are deterministic module
+sets in a fresh interpreter, not wall-clock budgets.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+_REPORT = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+)
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + _REPORT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.service.runner"])
+def test_import_loads_no_scipy(module):
+    assert _scipy_modules_after(f"import {module}") == []
+
+
+def test_serve_help_loads_no_scipy():
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['qmkp', 'serve', '--help']\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+    )
+    assert _scipy_modules_after(code) == []
+
+
+def test_simulated_annealing_takes_the_sparse_path():
+    code = (
+        "from repro.core import qamkp\n"
+        "from repro.graphs import gnm_random_graph\n"
+        "qamkp(gnm_random_graph(8, 16, seed=1), 2, solver='sa', seed=3,"
+        " runtime_us=100)\n"
+    )
+    assert "scipy.sparse" in _scipy_modules_after(code)
+
+
+def test_highs_path_loads_scipy_optimize():
+    code = (
+        "from repro.core import build_mkp_qubo\n"
+        "from repro.graphs import gnm_random_graph\n"
+        "from repro.milp import solve_qubo_milp\n"
+        "bqm = build_mkp_qubo(gnm_random_graph(6, 9, seed=2), 2).bqm\n"
+        "assert solve_qubo_milp(bqm, backend='highs').backend == 'highs'\n"
+    )
+    assert "scipy.optimize" in _scipy_modules_after(code)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +265,68 @@ class TestRouting:
         assert doc["state"] == "done"
         assert doc["last_event_id"] >= 1
         assert doc["events"].endswith("/events")
+        assert doc["pid"] > 0  # the runner child that ran the job
+
+
+class TestLongRunning:
+    """A gateway serves many jobs; what it holds must not grow with them."""
+
+    JOBS = 30
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts /proc/self/fd"
+    )
+    def test_settled_jobs_hold_no_open_files(self, graph_file, tmp_path):
+        async def settled_fd_count(gateway) -> int:
+            # A connection's socket closes a loop turn after its handler
+            # returns: wait for the pumps, then for the count to hold.
+            while not all(pump.done() for pump in gateway._pumps.values()):
+                await asyncio.sleep(0.01)
+            count = -1
+            for _ in range(100):
+                await asyncio.sleep(0.05)
+                previous, count = count, len(os.listdir("/proc/self/fd"))
+                if count == previous and not gateway._connections:
+                    break
+            return count
+
+        async def scenario(sup, gateway, client):
+            counts = []
+            for seed in range(self.JOBS):
+                spec = JobSpec(graph_file, k=2, solver="bs", name=f"fd{seed}")
+                _, result = await asyncio.to_thread(client.solve, spec)
+                assert result["state"] == "done"
+                if seed in (0, self.JOBS - 1):
+                    counts.append(await settled_fd_count(gateway))
+            return counts
+
+        first, last = asyncio.run(
+            _serving(_config(tmp_path, workers=1), scenario)
+        )
+        # Before settled journals closed their handles, each job left
+        # its event-journal file open: last == first + JOBS - 1.
+        assert last == first
+
+    def test_latency_histograms_count_every_job(self, graph_file, tmp_path):
+        jobs = 3
+
+        async def scenario(sup, gateway, client):
+            for seed in range(jobs):
+                spec = JobSpec(graph_file, k=2, seed=seed)
+                await asyncio.to_thread(client.solve, spec)
+            return json.loads(await asyncio.to_thread(client.metrics, "json"))
+
+        metrics = asyncio.run(_serving(_config(tmp_path, workers=1), scenario))
+        counts = {
+            name: doc["count"] for name, doc in metrics["histograms"].items()
+        }
+        assert counts == {
+            "service_queue_wait_s": jobs,
+            "service_spawn_s": 1,  # one slot, one warm child for every job
+            "service_solve_s": jobs,
+            "service_first_incumbent_s": jobs,
+            "gateway_submit_to_result_s": jobs,
+        }
 
 
 class TestStreams:

@@ -82,6 +82,20 @@ class TestEventJournal:
         assert journal.append("result", {"state": "done", "answer": 4}) is None
         assert journal.terminal["id"] == 1
 
+    def test_settled_journal_reopens_for_a_later_append(self, tmp_path):
+        # A settled journal holds no file handle; a resubmitted spec's
+        # next event reopens it and continues the same file.
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        journal.append("incumbent", {"n": 1})
+        journal.append("result", {"state": "failed"})
+        assert journal.append("incumbent", {"n": 2})["id"] == 3
+        assert journal.append("result", {"state": "done"}) is None
+        journal.close()
+        reloaded = EventJournal(path)
+        assert [r["id"] for r in reloaded.replay(0)] == [1, 2, 3]
+        assert reloaded.terminal["data"] == {"state": "failed"}
+
     def test_reload_continues_where_predecessor_stopped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         first = EventJournal(path)
