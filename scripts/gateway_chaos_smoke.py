@@ -144,9 +144,9 @@ async def in_process_scenarios(tmp: Path, graph: Path, reference: dict):
         if stream.drops != 1:
             fail(f"expected 1 scripted connection drop, saw {stream.drops}")
         check_sequence(stream.records, reference, "in-process chaos stream")
-        victim = sup.jobs[list(sup.jobs)[0]]
-        if victim.resumes != 1:
-            fail(f"victim resumed {victim.resumes} times, expected 1")
+        _, victim = await asyncio.to_thread(client.job, spec.content_key())
+        if victim["resumes"] != 1:
+            fail(f"victim resumed {victim['resumes']} times, expected 1")
         print(
             f"  drop+worker-kill: {len(stream.records)} events, 1 drop, "
             "1 worker resume, sequence gap/dup-free, answer byte-identical"
@@ -167,8 +167,8 @@ async def in_process_scenarios(tmp: Path, graph: Path, reference: dict):
         # Scenario 4: a stalled reader is evicted, not buffered forever.
         faults = chaos.stream_faults("stall")
         key = "feedfacecafebeef"
-        journal = gateway._journal(key)
-        gateway._jobs[key] = Job("job-stall", spec, sup.workdir)
+        stall_job = Job("job-stall", spec, sup.workdir)
+        journal = gateway._track(key, stall_job)
         sock = socket.create_connection((gateway.host, gateway.port))
         sock.sendall(
             f"GET /v1/jobs/{key}/events HTTP/1.1\r\n"
@@ -190,6 +190,7 @@ async def in_process_scenarios(tmp: Path, graph: Path, reference: dict):
                 fail("stalled reader was never evicted")
         finally:
             sock.close()
+            stall_job.settle("suspended")  # ends its pump
         print("  stalled reader: evicted and counted, supervisor unblocked")
 
         metrics_json = sup.render_metrics("json")
@@ -268,6 +269,11 @@ def gateway_kill_scenario(tmp: Path, graph: Path, reference: dict) -> None:
         for record in client.stream_once(spec.content_key(), undelivered):
             if record["id"] is not None:
                 records.append(record)
+        # The settled spec is its journal: a POST replays it unsolved.
+        if not client.submit(spec)["replayed"]:
+            fail("successor did not replay the settled spec")
+        if "service_jobs_submitted" in json.loads(client.metrics())["counters"]:
+            fail("successor admitted the settled spec again")
     finally:
         successor.send_signal(signal.SIGINT)
         successor.wait(timeout=60)

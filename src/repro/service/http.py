@@ -8,8 +8,11 @@ transparent pipe:
 
 * **Idempotent submission** — ``POST /v1/jobs`` keys on
   :meth:`JobSpec.content_key`.  A client retrying a timed-out submit
-  attaches to the live (or settled) job instead of double-solving; the
-  response carries a ``replayed`` marker and the original job id.
+  attaches to the live job, or is answered from the journal of one
+  that settled ``done`` — across gateway restarts too — instead of
+  double-solving; the response carries a ``replayed`` marker and the
+  original job id.  A spec whose journal ended ``failed`` is admitted
+  afresh, and the new run replaces that journal.
 * **Reconnect-resumable streams** — ``GET /v1/jobs/{key}/events``
   serves :class:`IncumbentEvent`\\ s as SSE with monotone event ids
   from the job's persistent :class:`~repro.service.sse.EventJournal`.
@@ -61,6 +64,8 @@ _MAX_HEADERS = 100
 _MAX_BODY = 1 << 20
 #: Seconds a keep-alive-less client gets to deliver its request.
 _REQUEST_TIMEOUT_S = 10.0
+#: SSE comment ending a stream that has no live producer to follow.
+_NO_LIVE_JOB = "no live job; resubmit to resume"
 
 _REASONS = {
     200: "OK",
@@ -72,6 +77,18 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+#: A job's fields in its status document.  The terminal record carries
+#: them too, so a settled key's document says the same.
+_STATUS_FIELDS = ("job_id", "state", "solver", "resumes", "error", "pid")
+
+
+def _status(job: Job) -> dict[str, object]:
+    return dict(zip(_STATUS_FIELDS, (
+        job.job_id, job.state, job.solver, job.resumes, job.error,
+        job.child_pid,
+    )))
 
 
 class GatewayError(ServiceError):
@@ -108,9 +125,9 @@ class Gateway:
         self.journal_dir = supervisor.workdir / "gateway-events"
         self.quarantine_dir = supervisor.workdir / "quarantine"
         self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self._journals: dict[str, EventJournal] = {}
-        self._jobs: dict[str, Job] = {}
-        self._pumps: dict[str, asyncio.Task] = {}
+        # content key -> (job, journal, pump) until the pump ends; from
+        # then on the journal file is all there is of the job.
+        self._live: dict[str, tuple[Job, EventJournal, asyncio.Task]] = {}
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
@@ -143,23 +160,16 @@ class Gateway:
             await asyncio.gather(*self._connections, return_exceptions=True)
 
     async def close(self) -> None:
-        """Full drain: stop accepting, let pumps settle, close journals.
+        """Full drain: stop accepting, then wait for every pump to end.
 
-        The pumps finish only once their jobs settle, so when shutdown
-        is what settles them (``Supervisor.shutdown(drain=False)``
-        suspending workers), call :meth:`stop_accepting` first, shut the
-        supervisor down, and *then* call this.
+        A pump ends, closing its journal, only once its job settles, so
+        when shutdown is what settles them (``Supervisor.shutdown(
+        drain=False)`` suspending workers), call :meth:`stop_accepting`
+        first, shut the supervisor down, and *then* call this.
         """
         await self.stop_accepting()
-        for pump in self._pumps.values():
-            if not pump.done():
-                # The pump drains the job's event queue; jobs themselves
-                # are settled by the supervisor's own completion or
-                # shutdown path.
-                await pump
-        for journal in self._journals.values():
-            journal.close()
-        self._journals.clear()
+        for _, _, pump in list(self._live.values()):
+            await pump
 
     @property
     def base_url(self) -> str:
@@ -171,17 +181,28 @@ class Gateway:
     def _count(self, metric: str, amount: float = 1) -> None:
         self.supervisor.tracer.add(metric, amount)
 
-    def _journal(self, key: str) -> EventJournal:
-        journal = self._journals.get(key)
-        if journal is None:
-            journal = EventJournal(self.journal_dir / f"{key}.events.jsonl")
-            self._journals[key] = journal
-        return journal
+    def _lookup(self, key: str):
+        """``(live entry or None, journal or None)`` for ``key``.
 
-    def _journal_exists(self, key: str) -> bool:
-        return key in self._journals or (
-            self.journal_dir / f"{key}.events.jsonl"
-        ).exists()
+        A key that is not live is read from its file, as its last pump
+        or a predecessor gateway left it, without opening a writer.
+        """
+        live = self._live.get(key)
+        if live is not None:
+            return live, live[1]
+        path = self.journal_dir / f"{key}.events.jsonl"
+        if not path.exists():
+            return None, None
+        return None, EventJournal(path, readonly=True)
+
+    def _track(self, key: str, job: Job) -> EventJournal:
+        """Make ``job`` the live producer of ``key``'s journal."""
+        journal = EventJournal(self.journal_dir / f"{key}.events.jsonl")
+        pump = asyncio.ensure_future(
+            self._pump(key, job, journal, time.perf_counter())
+        )
+        self._live[key] = (job, journal, pump)
+        return journal
 
     async def _on_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
@@ -345,82 +366,96 @@ class Gateway:
             })
             return
         key = spec.content_key()
-        try:
-            job, replayed = self.supervisor.submit_idempotent(spec)
-        except BackpressureError as exc:
-            self._count("gateway_rejected_backpressure")
-            await self._respond(writer, 429, {
-                "error": str(exc),
-                "error_type": "BackpressureError",
-                "capacity": exc.capacity,
-                "depth": exc.depth,
-                "retry_after_s": 1.0,
-            }, {"Retry-After": "1"})
-            return
-        except AdmissionError as exc:
-            self._count("gateway_rejected_admission")
-            await self._respond(writer, 429, {
-                "error": str(exc),
-                "error_type": "AdmissionError",
-                "tenant": exc.tenant,
-                "budget": exc.budget,
-                "charged": exc.charged,
-            })
-            return
-        journal = self._journal(key)
-        self._jobs[key] = job
-        if not replayed:
-            self._count("gateway_submissions")
-            self._pumps[key] = asyncio.ensure_future(
-                self._pump(key, job, time.perf_counter())
-            )
+        live, journal = self._lookup(key)
+        terminal = journal.terminal if journal is not None else None
+        replayed = True
+        if live is not None:
+            job_id, state = live[0].job_id, live[0].state
+        elif terminal is not None and terminal["data"].get("state") == "done":
+            job_id, state = terminal["data"].get("job_id"), "done"
+        else:
+            try:
+                job = self.supervisor.submit(spec)
+            except BackpressureError as exc:
+                self._count("gateway_rejected_backpressure")
+                await self._respond(writer, 429, {
+                    "error": str(exc),
+                    "error_type": "BackpressureError",
+                    "capacity": exc.capacity,
+                    "depth": exc.depth,
+                    "retry_after_s": 1.0,
+                }, {"Retry-After": "1"})
+                return
+            except AdmissionError as exc:
+                self._count("gateway_rejected_admission")
+                await self._respond(writer, 429, {
+                    "error": str(exc),
+                    "error_type": "AdmissionError",
+                    "tenant": exc.tenant,
+                    "budget": exc.budget,
+                    "charged": exc.charged,
+                })
+                return
+            if terminal is not None:
+                # The journal ended failed: this run supersedes it, and
+                # its events start again at id 1.
+                journal.path.unlink(missing_ok=True)
+            journal = self._track(key, job)
+            job_id, state = job.job_id, job.state
+            replayed = False
+        self._count(
+            "service_jobs_replayed" if replayed else "gateway_submissions"
+        )
         await self._respond(writer, 200 if replayed else 201, {
             "job": key,
-            "job_id": job.job_id,
-            "state": job.state,
+            "job_id": job_id,
+            "state": state,
             "replayed": replayed,
             "events": f"/v1/jobs/{key}/events",
             "last_event_id": journal.last_id,
         })
 
-    async def _pump(self, key: str, job: Job, accepted_at: float) -> None:
+    async def _pump(
+        self, key: str, job: Job, journal: EventJournal, accepted_at: float
+    ) -> None:
         """Relay one job's anytime stream into its persistent journal.
 
         The journal deduplicates replayed incumbents, so a job that
         crash-resumed any number of times still produces one monotone,
         gap-free, duplicate-free event sequence.  A terminal record is
         appended only for final states — a ``suspended`` job's journal
-        stays open, because the job itself will resume and continue it.
+        stays open-ended, for the spec's next admission to continue.
+        Either way the key then stops being live and the journal file
+        alone answers for it.
         """
-        journal = self._journal(key)
-        async for event in job.stream():
-            record = journal.append("incumbent", event.as_dict())
-            if record is not None:
-                self._count("gateway_events_journaled")
-        if job.state == "suspended":
-            return
-        terminal: dict[str, object] = {
-            "job_id": job.job_id,
-            "key": key,
-            "state": job.state,
-            "error": job.error,
-        }
-        if job.result is not None:
-            terminal.update(job.result)
-        if job.degraded_from:
-            terminal["degraded_from"] = list(job.degraded_from)
-        if self._is_drift_failure(job):
-            terminal["receipt_quarantined"] = self._quarantine_receipt(job)
-        if journal.append("result", terminal) is not None:
-            self.supervisor.tracer.observe(
-                "gateway_submit_to_result_s", time.perf_counter() - accepted_at
-            )
+        try:
+            async for event in job.stream():
+                record = journal.append("incumbent", event.as_dict())
+                if record is not None:
+                    self._count("gateway_events_journaled")
+            if job.state == "suspended":
+                return
+            terminal: dict[str, object] = {"key": key, **_status(job)}
+            if job.result is not None:
+                terminal.update(job.result)
+            if job.degraded_from:
+                terminal["degraded_from"] = list(job.degraded_from)
+            if self._is_drift_failure(job.state, job.error):
+                terminal["receipt_quarantined"] = self._quarantine_receipt(job)
+            if journal.append("result", terminal) is not None:
+                self.supervisor.tracer.observe(
+                    "gateway_submit_to_result_s",
+                    time.perf_counter() - accepted_at,
+                )
+        finally:
+            del self._live[key]
+            journal.close()
 
     @staticmethod
-    def _is_drift_failure(job: Job) -> bool:
+    def _is_drift_failure(state: str | None, error: str | None) -> bool:
         """A worker exit 3 is the runner's ledger-drift verdict."""
-        return job.state == "failed" and bool(job.error) and (
-            "worker exited 3" in job.error or "ledger drift" in job.error
+        return state == "failed" and bool(error) and (
+            "worker exited 3" in error or "ledger drift" in error
         )
 
     def _quarantine_receipt(self, job: Job) -> str | None:
@@ -445,49 +480,42 @@ class Gateway:
     # GET /v1/jobs/{key}
     # ------------------------------------------------------------------
     async def _get_job(self, key: str, writer) -> None:
-        job = self._jobs.get(key)
-        if job is None and not self._journal_exists(key):
+        live, journal = self._lookup(key)
+        if journal is None:
             await self._respond(writer, 404, {
                 "error": f"unknown job {key!r}",
                 "error_type": "NotFound",
             })
             return
-        journal = self._journal(key)
         doc: dict[str, object] = {
             "job": key,
             "events": f"/v1/jobs/{key}/events",
             "last_event_id": journal.last_id,
         }
-        status = 200
-        if job is not None:
-            doc.update({
-                "job_id": job.job_id,
-                "state": job.state,
-                "solver": job.solver,
-                "resumes": job.resumes,
-                "error": job.error,
-                "pid": job.child_pid,
-            })
-            if self._is_drift_failure(job):
-                # The answer exists but its audit trail does not
-                # reconcile: that is an internal integrity failure, not
-                # a client error.
-                status = 500
-                doc["error_type"] = "LedgerDrift"
+        if live is not None:
+            doc.update(_status(live[0]))
         elif journal.terminal is not None:
-            doc["state"] = journal.terminal["data"].get("state")
-            doc["error"] = journal.terminal["data"].get("error")
+            data = journal.terminal["data"]
+            doc.update((name, data.get(name)) for name in _STATUS_FIELDS)
         else:
-            # Journal on disk, no live job: a predecessor gateway was
-            # serving this; a POST of the same spec resumes it.
+            # Journal on disk, no live job: the job was suspended, or a
+            # predecessor gateway was serving it; a POST of the same
+            # spec resumes it.
             doc["state"] = "detached"
+        status = 200
+        if self._is_drift_failure(doc["state"], doc.get("error")):
+            # The answer exists but its audit trail does not reconcile:
+            # that is an internal integrity failure, not a client error.
+            status = 500
+            doc["error_type"] = "LedgerDrift"
         await self._respond(writer, status, doc)
 
     # ------------------------------------------------------------------
     # GET /v1/jobs/{key}/events — the SSE stream
     # ------------------------------------------------------------------
     async def _get_events(self, key, query, headers, writer) -> None:
-        if not self._journal_exists(key) and key not in self._jobs:
+        live, journal = self._lookup(key)
+        if journal is None:
             await self._respond(writer, 404, {
                 "error": f"unknown job {key!r}",
                 "error_type": "NotFound",
@@ -503,7 +531,6 @@ class Gateway:
             "gateway_sse_active", help="SSE connections currently open"
         )
         active.inc(1)
-        journal = self._journal(key)
         sub = journal.subscribe(config.http_send_queue)
         get_task: asyncio.Task | None = None
         shutdown_task = asyncio.ensure_future(self._shutdown.wait())
@@ -524,11 +551,11 @@ class Gateway:
                 self._count("gateway_events_replayed")
             if journal.terminal is not None:
                 return  # settled: replay ends the stream
-            if key not in self._jobs or self._jobs[key].done:
+            if live is None:
                 # No live producer (predecessor gateway's job, or a
                 # suspended one).  Closing tells the client to re-POST
                 # the spec — idempotent — which resumes the work.
-                writer.write(encode_comment("no live job; resubmit to resume"))
+                writer.write(encode_comment(_NO_LIVE_JOB))
                 await writer.drain()
                 return
 
@@ -561,6 +588,11 @@ class Gateway:
                     self._count("gateway_events_streamed")
                     if record["type"] == "result":
                         return
+                elif self._live.get(key) is not live and sub.queue.empty():
+                    # Suspended since, and everything it journaled sent.
+                    writer.write(encode_comment(_NO_LIVE_JOB))
+                    await writer.drain()
+                    return
                 else:
                     await self._write_frame(writer, encode_comment("hb"))
                     self._count("gateway_heartbeats")
@@ -843,8 +875,8 @@ class GatewayClient:
                 })
             time.sleep(self._backoff_s(min(reconnects - 1,
                                            self.policy.max_attempts - 1)))
-            # Idempotent re-attach: restores a post-restart gateway's
-            # index and resumes a suspended job; a live one is replayed.
+            # Idempotent re-attach: resumes a suspended or detached job;
+            # a live or finished one is replayed.
             try:
                 self.submit_with_retries(spec)
             except (GatewayError, OSError):

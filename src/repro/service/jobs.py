@@ -198,51 +198,51 @@ class Job:
 
     The submitting caller keeps the returned :class:`Job` and consumes
     :meth:`stream` (anytime incumbents, ending when the job settles)
-    and :meth:`result` (the final answer dict, or a raised
-    :class:`ServiceError` on failure).
+    and :meth:`result_dict` (the final answer dict, or a raised
+    :class:`ServiceError` on failure).  A duplicate submission attaches
+    to the same handle, so any number of callers may do both.
     """
 
-    def __init__(
-        self,
-        job_id: str,
-        spec: JobSpec,
-        workdir: Path,
-        artifact_stem: str | None = None,
-    ) -> None:
+    def __init__(self, job_id: str, spec: JobSpec, workdir: Path) -> None:
         self.job_id = job_id
         self.spec = spec
         self.state = "queued"
         self.resumes = 0          # crash-resume count so far
         self.degraded_from: list[str] = []  # backends skipped by open breakers
         self.solver = spec.solver  # effective backend (after degradation)
-        self.worker: str | None = None
         self.child_pid: int | None = None  # set on the child's "started"
         self.error: str | None = None
         self.result: dict[str, object] | None = None
         # Artifacts are content-keyed (never sequence-numbered): the
         # workdir may be shared across supervisor restarts, and a stale
         # journal must only ever be found by the spec that wrote it.
-        stem = artifact_stem or spec.artifact_stem()
+        # The supervisor runs at most one live job per spec, so no two
+        # live jobs share a journal.
+        stem = spec.artifact_stem()
         self.receipt_path = workdir / f"{stem}.receipt.json"
         self.checkpoint_path = workdir / f"{stem}.wal"
         self.queued_at = time.perf_counter()  # (re)entered the queue
         self.incumbents: list[IncumbentEvent] = []
-        self._events: asyncio.Queue = asyncio.Queue()
+        self._progress = asyncio.Event()  # replaced each time it fires
         self._done = asyncio.Event()
 
     # -- service-side transitions --------------------------------------
     def push_incumbent(self, event: IncumbentEvent) -> None:
         self.incumbents.append(event)
-        self._events.put_nowait(event)
+        self._progressed()
 
     def settle(self, state: str, error: str | None = None) -> None:
-        """Terminal transition; closes the event stream exactly once."""
+        """Terminal transition; ends every event stream exactly once."""
         if self._done.is_set():
             return
         self.state = state
         self.error = error
-        self._events.put_nowait(None)  # stream sentinel
         self._done.set()
+        self._progressed()
+
+    def _progressed(self) -> None:
+        self._progress.set()  # wakes every waiting stream
+        self._progress = asyncio.Event()
 
     # -- caller-side API -----------------------------------------------
     @property
@@ -250,12 +250,16 @@ class Job:
         return self._done.is_set()
 
     async def stream(self):
-        """Yield :class:`IncumbentEvent`\\ s until the job settles."""
+        """Yield every :class:`IncumbentEvent`, from the first, until
+        the job settles."""
+        seen = 0
         while True:
-            event = await self._events.get()
-            if event is None:
+            while seen < len(self.incumbents):
+                seen += 1
+                yield self.incumbents[seen - 1]
+            if self.done:
                 return
-            yield event
+            await self._progress.wait()
 
     async def result_dict(self) -> dict[str, object]:
         """Wait for the final answer; raises on failure/suspension."""
@@ -266,19 +270,3 @@ class Job:
             f"job {self.job_id} settled as {self.state}"
             + (f": {self.error}" if self.error else "")
         )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "job_id": self.job_id,
-            "spec": self.spec.as_dict(),
-            "state": self.state,
-            "solver": self.solver,
-            "resumes": self.resumes,
-            "degraded_from": list(self.degraded_from),
-            "worker": self.worker,
-            "error": self.error,
-            "result": self.result,
-            "receipt": str(self.receipt_path),
-            "checkpoint": str(self.checkpoint_path),
-            "incumbents": [e.as_dict() for e in self.incumbents],
-        }

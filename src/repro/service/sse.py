@@ -21,9 +21,10 @@ job ever streamed, with **monotone 1-based event ids**:
   SIGKILLed mid-append costs at most the final line, which the
   successor cuts off before its first append; a bit-identical resume
   regenerates the event with the same id;
-* a settled journal holds no open file: the handle closes with the
-  terminal record and reopens only if a resubmitted spec appends more,
-  so a long-lived gateway holds one handle per *live* job.
+* a journal takes nothing after its terminal record.  A settled
+  journal is only read again (``readonly=True`` opens no file handle),
+  so a long-lived gateway holds one handle per *live* job, and the
+  file is the only record of a settled one.
 
 Fan-out to live connections goes through bounded
 :class:`Subscription` queues.  A subscriber that falls
@@ -94,17 +95,20 @@ class Subscription:
 class EventJournal:
     """Persistent, deduplicating, monotone-id event log for one job."""
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, readonly: bool = False) -> None:
         self.path = Path(path)
         self.records: list[dict] = []
-        self._digests: set[str] = set()
         self.terminal: dict | None = None
         self._subscribers: set[Subscription] = set()
+        self._log: JsonLinesLog | None = None
         keep = self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._log: JsonLinesLog | None = JsonLinesLog(self.path, keep=keep)
-        if self.terminal is not None:
-            self._close_log()
+        if not readonly:
+            # Only a writer deduplicates, so only a writer digests.
+            self._digests = {
+                _digest(r["type"], r["data"]) for r in self.records
+            }
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._log = JsonLinesLog(self.path, keep=keep)
 
     def _load(self) -> int:
         """Reopen an existing journal (gateway restart), torn-tail safe.
@@ -126,7 +130,6 @@ class EventJournal:
             if record_id != len(self.records) + 1:
                 break  # out-of-sequence tail — treat like torn
             self.records.append({"id": record_id, "type": type_, "data": data})
-            self._digests.add(_digest(type_, data))
             if type_ in TERMINAL_TYPES:
                 self.terminal = self.records[-1]
         return lines.end(len(self.records))
@@ -137,32 +140,24 @@ class EventJournal:
         return len(self.records)
 
     def append(self, type_: str, data: dict) -> dict | None:
-        """Journal one event; returns the record, or None if deduplicated.
+        """Journal one event; returns the record, or None if dropped.
 
         Duplicate content (a crash-resume's ``replayed`` re-announcement
-        of an already-journaled incumbent) is dropped.  A second
-        terminal record is likewise dropped — the first final answer
+        of an already-journaled incumbent) is dropped, and so is
+        anything after the terminal record: the first final answer
         stands (any later one is bit-identical by the resume contract).
-
-        Either terminal closes the file handle: the job settled, and
-        only a resubmission of its spec can append again.
         """
-        if type_ in TERMINAL_TYPES and self.terminal is not None:
-            self._close_log()
+        if self.terminal is not None:
             return None
         digest = _digest(type_, data)
         if digest in self._digests:
             return None
         record = {"id": len(self.records) + 1, "type": type_, "data": data}
-        if self._log is None:  # reopen, keeping exactly what is journaled
-            keep = read_json_lines(self.path).end(len(self.records))
-            self._log = JsonLinesLog(self.path, keep=keep)
         self.records.append(record)
         self._digests.add(digest)
         self._log.append(record)
         if type_ in TERMINAL_TYPES:
             self.terminal = record
-            self._close_log()
         for sub in list(self._subscribers):
             if sub.evicted:
                 continue
@@ -186,13 +181,10 @@ class EventJournal:
         self._subscribers.add(sub)
         return sub
 
-    def _close_log(self) -> None:
+    def close(self) -> None:
         if self._log is not None:
             self._log.close()
             self._log = None
-
-    def close(self) -> None:
-        self._close_log()
         self._subscribers.clear()
 
 

@@ -22,6 +22,11 @@ per backend, and ``config.workers`` worker slots.  Its invariants:
   settles them ``suspended``; resubmitting the same spec against the
   same workdir resumes where they stopped.  Idle children get EOF on
   stdin; both shutdown paths return only once every child is reaped.
+* **Only live work is held.**  :attr:`Supervisor.jobs` maps a spec's
+  content key to its queued or running job; a duplicate submission
+  attaches to it, and :meth:`Supervisor.settle` counts, settles and
+  drops a job in one step.  A settled job lives on only in its
+  artifacts and in the ``service_jobs_*`` counters.
 
 Every counter lives in the supervisor's :class:`~repro.obs.Tracer`
 registry (``service_*``, plus the breakers' ``breaker_*`` instruments)
@@ -45,6 +50,13 @@ from .queue import JobQueue, TenantPools
 from .worker import Worker
 
 __all__ = ["Supervisor"]
+
+#: Counter of each settled state; ``stats()`` reads them back.
+_SETTLED = {
+    "done": "service_jobs_completed",
+    "failed": "service_jobs_failed",
+    "suspended": "service_jobs_suspended",
+}
 
 
 class Supervisor:
@@ -71,8 +83,7 @@ class Supervisor:
         self.queue = JobQueue(self.config.queue_capacity)
         self.tenants = TenantPools(self.config.tenant_budgets)
         self.chaos = chaos
-        self.jobs: dict[str, Job] = {}
-        self._by_key: dict[str, Job] = {}  # content_key -> latest job
+        self.jobs: dict[str, Job] = {}  # content key -> live job
         self._breakers: dict[str, CircuitBreaker] = {}
         self._workers: list[Worker] = []
         self._tasks: list[asyncio.Task] = []
@@ -121,8 +132,9 @@ class Supervisor:
         pending = self.queue.drain_pending()
         self.queue.close()
         for job in pending:
-            self.tracer.add("service_jobs_suspended", 1)
-            job.settle("suspended", "service shut down before the job started")
+            self.settle(
+                job, "suspended", "service shut down before the job started"
+            )
         for worker in self._workers:
             worker.interrupt()
         if self._tasks:
@@ -149,12 +161,23 @@ class Supervisor:
     def submit(self, spec: JobSpec) -> Job:
         """Admit one request; returns the caller's :class:`Job` handle.
 
+        A spec whose content key (:meth:`JobSpec.content_key`) is
+        already queued or running attaches to that job instead: the
+        same handle comes back, counted ``service_jobs_replayed``, and
+        uses no admission and no queue slot, so a retried request never
+        double-solves.
+
         Raises :class:`~repro.service.jobs.AdmissionError` when the
         tenant's gate-unit pool is dry and
         :class:`~repro.service.jobs.BackpressureError` when the bounded
         queue is full — both *before* any state is created, so a
         rejected submission leaves no trace to clean up.
         """
+        key = spec.content_key()
+        live = self.jobs.get(key)
+        if live is not None:
+            self.tracer.add("service_jobs_replayed", 1)
+            return live
         try:
             self.tenants.admit(spec.tenant)
         except Exception:
@@ -163,67 +186,26 @@ class Supervisor:
         job_id = f"job-{self._job_seq:04d}" + (
             f"-{spec.name}" if spec.name else ""
         )
-        job = Job(job_id, spec, self.workdir, self._artifact_stem(spec))
+        job = Job(job_id, spec, self.workdir)
         try:
             self.queue.submit(job)
         except Exception:
             self.tracer.add("service_jobs_rejected_backpressure", 1)
             raise
         self._job_seq += 1
-        self.jobs[job_id] = job
-        self._by_key[spec.content_key()] = job
+        self.jobs[key] = job
         self.tracer.add("service_jobs_submitted", 1)
         self._update_depth()
         return job
 
-    def submit_idempotent(self, spec: JobSpec) -> tuple[Job, bool]:
-        """Admit ``spec`` exactly once; duplicate submissions attach.
-
-        The network front end's submission semantics: a client retrying
-        a timed-out ``POST`` must never double-solve.  Keyed on
-        :meth:`JobSpec.content_key`, so two byte-identical specs are one
-        job:
-
-        * a **live** job with this key → return it (``replayed=True``);
-        * a job that settled **done** → return it, so the retrier gets
-          the finished answer (``replayed=True``);
-        * settled ``failed`` / ``suspended``, or no job → a fresh
-          :meth:`submit` (``replayed=False``).  A suspended job's fresh
-          submission resumes from its content-keyed checkpoint journal,
-          which is exactly the restart-survival contract.
-
-        Replays never consume queue capacity or tenant admission — the
-        original submission already paid both.
-        """
-        key = spec.content_key()
-        existing = self._by_key.get(key)
-        if existing is not None and (
-            not existing.done or existing.state == "done"
-        ):
-            self.tracer.add("service_jobs_replayed", 1)
-            return existing, True
-        return self.submit(spec), False
-
-    def _artifact_stem(self, spec: JobSpec) -> str:
-        """Artifact basename for ``spec``, unique among live jobs.
-
-        The stem is content-keyed (see :meth:`JobSpec.artifact_stem`) so
-        checkpoints survive supervisor restarts and never collide across
-        different specs; two *concurrently live* submissions of an
-        identical spec must still not share a journal, so duplicates get
-        a deterministic ``-dupN`` suffix.
-        """
-        stem = spec.artifact_stem()
-        live = {
-            job.checkpoint_path.name
-            for job in self.jobs.values()
-            if not job.done
-        }
-        candidate, dup = stem, 1
-        while f"{candidate}.wal" in live:
-            dup += 1
-            candidate = f"{stem}-dup{dup}"
-        return candidate
+    def settle(self, job: Job, state: str, error: str | None = None) -> None:
+        """The one way out of the service: count ``job`` under its
+        settled ``state``, settle it, and drop it from :attr:`jobs`."""
+        if job.done:
+            return
+        self.tracer.add(_SETTLED[state], 1)
+        job.settle(state, error)
+        self.jobs.pop(job.spec.content_key(), None)
 
     # ------------------------------------------------------------------
     # Worker callbacks
@@ -251,8 +233,8 @@ class Supervisor:
         while not self.breaker(job.solver).allow():
             rung = self.config.degraded(job.solver)
             if rung is None:
-                self.tracer.add("service_jobs_failed", 1)
-                job.settle(
+                self.settle(
+                    job,
                     "failed",
                     f"backend {job.solver!r} circuit is open and no "
                     "degradation rung remains",
@@ -309,7 +291,6 @@ class Supervisor:
             self.tenants.charge(
                 job.spec.tenant, float(answer.get("gate_units", 0) or 0)
             )
-            self.tracer.add("service_jobs_completed", 1)
             if job.result.get("cache"):
                 self.record_cache_stats(job.result["cache"])
             if job.result.get("resumed_probes"):
@@ -320,13 +301,12 @@ class Supervisor:
             # it behind in a persistent workdir would only shadow a
             # later resubmission of the same spec.  The receipt stays.
             job.checkpoint_path.unlink(missing_ok=True)
-            job.settle("done")
+            self.settle(job, "done")
             return
         if returncode == 130:
             # Graceful SIGINT (drain or operator): journal flushed,
             # resumable on disk.  Not a backend failure.
-            self.tracer.add("service_jobs_suspended", 1)
-            job.settle("suspended")
+            self.settle(job, "suspended")
             return
         if returncode < 0:
             # The crash domain did its job: the worker child died (e.g.
@@ -336,13 +316,15 @@ class Supervisor:
             resumable = CheckpointJournal.resumable(job.checkpoint_path)
             if self._suspending:
                 if resumable:
-                    self.tracer.add("service_jobs_suspended", 1)
-                    job.settle("suspended", "crashed during service suspend")
+                    self.settle(
+                        job, "suspended", "crashed during service suspend"
+                    )
                 else:
-                    self.tracer.add("service_jobs_failed", 1)
-                    job.settle(
-                        "failed", f"worker killed by signal {-returncode} "
-                        "during service suspend"
+                    self.settle(
+                        job,
+                        "failed",
+                        f"worker killed by signal {-returncode} "
+                        "during service suspend",
                     )
                 return
             if job.resumes < self.config.max_resumes:
@@ -356,8 +338,8 @@ class Supervisor:
                 self.queue.requeue(job)
                 self._update_depth()
                 return
-            self.tracer.add("service_jobs_failed", 1)
-            job.settle(
+            self.settle(
+                job,
                 "failed",
                 f"worker killed by signal {-returncode}; resume budget "
                 f"({self.config.max_resumes}) exhausted",
@@ -365,10 +347,11 @@ class Supervisor:
             return
         # Nonzero exit: solver error or ledger drift — fail loudly.
         self.breaker(job.solver).record_failure()
-        self.tracer.add("service_jobs_failed", 1)
         tail = stderr.strip().splitlines()[-1] if stderr.strip() else ""
-        job.settle(
-            "failed", f"worker exited {returncode}" + (f": {tail}" if tail else "")
+        self.settle(
+            job,
+            "failed",
+            f"worker exited {returncode}" + (f": {tail}" if tail else ""),
         )
 
     # ------------------------------------------------------------------
@@ -387,10 +370,18 @@ class Supervisor:
         raise ValueError(f"unknown metrics format {fmt!r}")
 
     def stats(self) -> dict[str, object]:
-        """One-shot service snapshot (states, tenants, breakers)."""
+        """One-shot service snapshot (states, tenants, breakers).
+
+        ``jobs`` counts live jobs by state and settled ones by the
+        counter each settle adds to.
+        """
         states: dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
+        counters = self.tracer.registry.counters()
+        for state, counter in _SETTLED.items():
+            if counters.get(counter):
+                states[state] = int(counters[counter])
         return {
             "jobs": states,
             "queue_depth": self.queue.depth,

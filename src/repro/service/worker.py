@@ -52,7 +52,6 @@ class Worker:
     def __init__(self, name: str, supervisor) -> None:
         self.name = name
         self.supervisor = supervisor
-        self.current: Job | None = None
         self.proc: asyncio.subprocess.Process | None = None
         self._started = False  # the current job said "started"
         self._stderr = bytearray()
@@ -75,13 +74,12 @@ class Worker:
                 job = await self.supervisor.queue.get()
                 if job is None:
                     return
-                self.current = job
                 try:
                     await self._execute(job)
                 except Exception as exc:  # noqa: BLE001 — the slot must live
                     await self._abort(job, exc)
                 finally:
-                    self.current = None
+                    job = None  # hold no settled job while awaiting the next
                     self._started = False
         finally:
             await self.close()
@@ -120,13 +118,11 @@ class Worker:
                 self.proc.kill()
             await self._reap()
         sup.tracer.add("service_worker_errors", 1)
-        if not job.done:
-            sup.tracer.add("service_jobs_failed", 1)
-            job.settle(
-                "failed",
-                f"worker {self.name} internal error: "
-                f"{type(exc).__name__}: {exc}",
-            )
+        sup.settle(
+            job,
+            "failed",
+            f"worker {self.name} internal error: {type(exc).__name__}: {exc}",
+        )
 
     # ------------------------------------------------------------------
     async def _spawn(self) -> None:
@@ -182,14 +178,14 @@ class Worker:
             # The shutdown sweep only SIGINTs children that already
             # run a job; a job dequeued around the sweep must not start
             # a fresh solve that would block the suspend.
-            sup.tracer.add("service_jobs_suspended", 1)
-            job.settle("suspended", "service shut down before the job started")
+            sup.settle(
+                job, "suspended", "service shut down before the job started"
+            )
             return
         sup.resolve_backend(job)
-        if job.state == "failed":
+        if job.done:
             return  # every degradation rung was breaker-rejected
         job.state = "running"
-        job.worker = self.name
         sup.tracer.observe(
             "service_queue_wait_s", time.perf_counter() - job.queued_at
         )

@@ -8,6 +8,7 @@ threshold probes, so its journal and event stream are non-trivial.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core import qmkp
+from repro.core import qmkp, qtkp
 from repro.datasets import figure1_graph
 from repro.graphs import Graph, gnm_random_graph, read_edge_list, write_edge_list
 from repro.kplex import is_kplex, maximum_kplex
@@ -49,6 +50,20 @@ SEEDED = [
 NAMES = [inst.name for inst in SEEDED]
 
 
+#: Draws whose in-process default falls short of the optimum because a
+#: qTKP probe missed every attempt: K5 with k = 1 (M = 16 of N = 32
+#: marked states, so each measurement succeeds with probability 1/2)
+#: and two isolated vertices with k = 1 (M = 2 of 4).
+BOUNDED_ERROR_MISSES = [
+    (Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]), 1, 1341),
+    (Graph(2, []), 1, 126),
+]
+
+#: Measurements a qTKP probe takes before it reports no solution (the
+#: default, which ``qmkp`` uses).
+MAX_ATTEMPTS = inspect.signature(qtkp).parameters["max_attempts"].default
+
+
 @lru_cache(maxsize=256)
 def optimum(graph: Graph, k: int) -> int:
     return len(maximum_kplex(graph, k).subset)
@@ -60,17 +75,38 @@ def default_answer(graph: Graph, k: int, seed: int):
     return qmkp(graph, k, rng=np.random.default_rng(seed))
 
 
-def certify(graph: Graph, k: int, subset) -> None:
-    """The checks every route's answer must pass."""
+def bounded_error_miss(probes) -> bool:
+    """Whether a qTKP probe spent every attempt while solutions existed.
+
+    qTKP is bounded-error: each measurement finds a marked state with
+    probability below one, so a probe can miss M > 0 solutions on all
+    of its attempts, and qMKP's search then settles below the optimum.
+    """
+    return any(
+        not probe.found and probe.num_marked > 0
+        and probe.attempts == MAX_ATTEMPTS
+        for probe in probes
+    )
+
+
+def certify(graph: Graph, k: int, subset, probes) -> None:
+    """The checks every route's answer must pass.
+
+    The answer is a k-plex no larger than the optimum, and it is the
+    optimum unless ``probes`` (the in-process default's qTKP probes)
+    record a bounded-error miss.
+    """
     subset = frozenset(subset)
-    assert len(subset) == optimum(graph, k)
     assert is_kplex(graph, subset, k)
+    assert len(subset) <= optimum(graph, k)
+    if not bounded_error_miss(probes):
+        assert len(subset) == optimum(graph, k)
 
 
 def check_qmkp(graph: Graph, k: int, seed: int, subset, gate_units, oracle_calls):
     """Certify a qMKP answer and hold it to the in-process default."""
-    certify(graph, k, subset)
     default = default_answer(graph, k, seed)
+    certify(graph, k, subset, default.probes)
     assert frozenset(subset) == default.subset
     assert gate_units == default.gate_units
     assert oracle_calls == default.oracle_calls

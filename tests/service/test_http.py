@@ -8,10 +8,13 @@ use the figure-1 graph so every job is sub-second.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import socket
 import sys
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +51,13 @@ def _config(tmp_path, **kwargs) -> ServiceConfig:
 
 def _counter(sup, name: str) -> float:
     return sup.tracer.registry.as_dict()["counters"].get(name, 0)
+
+
+async def _until_idle(gateway, timeout_s: float = 10.0) -> None:
+    """Wait, at most ``timeout_s``, for every pump to end."""
+    deadline = time.monotonic() + timeout_s
+    while gateway._live and time.monotonic() < deadline:
+        await asyncio.sleep(0.01)
 
 
 async def _serving(config, fn):
@@ -99,6 +109,69 @@ class TestSubmission:
         assert submitted == 1  # the solver ran exactly once
         assert result["state"] == "done"
 
+    def test_restarted_gateway_replays_a_done_spec_without_solving(
+        self, graph_file, tmp_path
+    ):
+        config = _config(tmp_path, workers=1, tenant_budgets={"acme": 1e12})
+        spec = JobSpec(graph_file, k=2, seed=7, tenant="acme")
+
+        async def first_life(sup, gateway, client):
+            return await asyncio.to_thread(client.solve, spec)
+
+        async def successor(sup, gateway, client):
+            # A new gateway and supervisor over the same workdir: the
+            # settled spec exists only as its journal file.
+            doc = await asyncio.to_thread(client.submit, spec)
+            _, result = await asyncio.to_thread(client.solve, spec)
+            _, status = await asyncio.to_thread(client.job, doc["job"])
+            pool = sup.tenants.pool("acme")
+            return doc, result, status, sup, pool.charged
+
+        _, original = asyncio.run(_serving(config, first_life))
+        doc, result, status, sup, charged = asyncio.run(
+            _serving(config, successor)
+        )
+        assert doc["replayed"] is True
+        assert doc["job_id"] == original["job_id"]
+        assert doc["state"] == "done"
+        assert result == original
+        assert _counter(sup, "service_jobs_submitted") == 0
+        assert charged == 0  # the tenant paid once, in the first life
+        # The status document keeps the live one's fields.
+        assert {name: status[name] for name in (
+            "job_id", "state", "solver", "resumes", "error", "pid",
+        )} == {
+            "job_id": original["job_id"], "state": "done", "solver": "qmkp",
+            "resumes": 0, "error": None, "pid": original["pid"],
+        }
+        assert original["pid"] > 0
+
+    def test_failed_spec_reruns_once_its_graph_exists(self, tmp_path):
+        graph_path = tmp_path / "late.edges"
+        spec = JobSpec(str(graph_path), k=2, seed=7)
+
+        async def scenario(sup, gateway, client):
+            _, failed = await asyncio.to_thread(client.solve, spec)
+            write_edge_list(figure1_graph(), graph_path)
+            _, done = await asyncio.to_thread(client.solve, spec)
+            _, again = await asyncio.to_thread(client.solve, spec)
+            submitted = _counter(sup, "service_jobs_submitted")
+            return failed, done, again, submitted, sup.stats()["jobs"]
+
+        failed, done, again, submitted, jobs = asyncio.run(
+            _serving(_config(tmp_path, workers=1), scenario)
+        )
+        assert failed["state"] == "failed"
+        assert "[Errno 2]" in failed["error"]
+        direct = qmkp(figure1_graph(), 2, rng=np.random.default_rng(7))
+        assert done["state"] == "done"
+        assert done["answer"]["size"] == direct.size
+        assert done["answer"]["gate_units"] == direct.gate_units
+        assert done["answer"]["oracle_calls"] == direct.oracle_calls
+        assert again == done  # replayed from the journal...
+        assert submitted == 2  # ...without a third job
+        assert jobs == {"failed": 1, "done": 1}
+
     def test_bad_body_is_400(self, tmp_path):
         async def scenario(sup, gateway, client):
             status, doc = await asyncio.to_thread(
@@ -117,7 +190,7 @@ class TestSubmission:
             def full(spec):
                 raise BackpressureError(capacity=4, depth=4)
 
-            monkeypatch.setattr(sup, "submit_idempotent", full)
+            monkeypatch.setattr(sup, "submit", full)
             with pytest.raises(GatewayError) as err:
                 await asyncio.to_thread(client.submit, JobSpec(graph_file, k=2))
             return err.value, _counter(sup, "gateway_rejected_backpressure")
@@ -136,7 +209,7 @@ class TestSubmission:
             def broke(spec):
                 raise AdmissionError(tenant="acme", budget=100, charged=99)
 
-            monkeypatch.setattr(sup, "submit_idempotent", broke)
+            monkeypatch.setattr(sup, "submit", broke)
             with pytest.raises(GatewayError) as err:
                 await asyncio.to_thread(client.submit, JobSpec(graph_file, k=2))
             return err.value
@@ -159,7 +232,7 @@ class TestSubmission:
                 calls.append(spec)
                 raise AdmissionError(tenant="acme", budget=1, charged=882)
 
-            monkeypatch.setattr(sup, "submit_idempotent", broke)
+            monkeypatch.setattr(sup, "submit", broke)
             with pytest.raises(GatewayError) as err:
                 await asyncio.to_thread(
                     client.submit_with_retries, JobSpec(graph_file, k=2)
@@ -178,7 +251,7 @@ class TestSubmission:
         calls: list = []
 
         async def scenario(sup, gateway, client):
-            admit = sup.submit_idempotent
+            admit = sup.submit
 
             def full_once(spec):
                 calls.append(spec)
@@ -186,7 +259,7 @@ class TestSubmission:
                     raise BackpressureError(capacity=4, depth=4)
                 return admit(spec)
 
-            monkeypatch.setattr(sup, "submit_idempotent", full_once)
+            monkeypatch.setattr(sup, "submit", full_once)
             return await asyncio.to_thread(
                 client.submit_with_retries, JobSpec(graph_file, k=2, seed=7)
             )
@@ -280,8 +353,7 @@ class TestLongRunning:
         async def settled_fd_count(gateway) -> int:
             # A connection's socket closes a loop turn after its handler
             # returns: wait for the pumps, then for the count to hold.
-            while not all(pump.done() for pump in gateway._pumps.values()):
-                await asyncio.sleep(0.01)
+            await _until_idle(gateway)
             count = -1
             for _ in range(100):
                 await asyncio.sleep(0.05)
@@ -306,6 +378,35 @@ class TestLongRunning:
         # Before settled journals closed their handles, each job left
         # its event-journal file open: last == first + JOBS - 1.
         assert last == first
+
+    def test_settled_jobs_leave_no_live_state(
+        self, graph_file, tmp_path, monkeypatch
+    ):
+        refs: list[weakref.ref] = []
+
+        async def scenario(sup, gateway, client):
+            submit = sup.submit
+
+            def tracked(spec):
+                job = submit(spec)
+                refs.append(weakref.ref(job))
+                return job
+
+            monkeypatch.setattr(sup, "submit", tracked)
+            for seed in range(self.JOBS):
+                spec = JobSpec(graph_file, k=2, solver="bs", name=f"gc{seed}")
+                _, result = await asyncio.to_thread(client.solve, spec)
+                assert result["state"] == "done"
+            await _until_idle(gateway)
+            held = dict(sup.jobs), dict(gateway._live)
+            gc.collect()
+            return held, [ref() is None for ref in refs]
+
+        (jobs, live), freed = asyncio.run(
+            _serving(_config(tmp_path, workers=1), scenario)
+        )
+        assert jobs == {} and live == {}
+        assert freed == [True] * self.JOBS
 
     def test_latency_histograms_count_every_job(self, graph_file, tmp_path):
         jobs = 3
@@ -395,7 +496,8 @@ class TestStreams:
             spec = JobSpec(graph_file, k=2, seed=7)
             _, result = await asyncio.to_thread(client.solve, spec)
             key = spec.content_key()
-            total = gateway._journal(key).last_id
+            _, doc = await asyncio.to_thread(client.job, key)
+            total = doc["last_event_id"]
             tail = await asyncio.to_thread(
                 lambda: list(client.stream_once(key, total - 1))
             )
@@ -416,6 +518,30 @@ class TestStreams:
         error = asyncio.run(_serving(_config(tmp_path), scenario))
         assert error.status == 404
 
+    def test_stream_of_a_job_that_suspends_ends_for_a_resubmit(
+        self, graph_file, tmp_path
+    ):
+        async def scenario(sup, gateway, client):
+            key = "feedfacecafebeef"
+            producer = Job("job-x", JobSpec(graph_file, k=2), sup.workdir)
+            gateway._track(key, producer).append("incumbent", {"n": 1})
+            stream = asyncio.ensure_future(
+                asyncio.to_thread(lambda: list(client.stream_once(key, 0)))
+            )
+            await asyncio.sleep(0.3)  # the client follows the live job
+            producer.settle("suspended")
+            records = await asyncio.wait_for(stream, 10.0)
+            _, doc = await asyncio.to_thread(client.job, key)
+            return records, doc
+
+        records, doc = asyncio.run(
+            _serving(_config(tmp_path, http_heartbeat_s=0.1), scenario)
+        )
+        # The stream ends with no terminal record, which tells the
+        # client to re-POST the spec and so resume the job.
+        assert [r["id"] for r in records] == [1]
+        assert doc["state"] == "detached"
+
 
 class TestDegradation:
     def test_stalled_reader_is_evicted(self, graph_file, tmp_path):
@@ -429,10 +555,10 @@ class TestDegradation:
 
         async def scenario(sup, gateway, client):
             key = "feedfacecafebeef"
-            journal = gateway._journal(key)
             # A fake live producer keeps the SSE handler in its live
             # loop instead of closing after replay.
-            gateway._jobs[key] = Job("job-x", JobSpec(graph_file, k=2), sup.workdir)
+            producer = Job("job-x", JobSpec(graph_file, k=2), sup.workdir)
+            journal = gateway._track(key, producer)
 
             sock = socket.create_connection((gateway.host, gateway.port))
             sock.sendall(
@@ -453,6 +579,7 @@ class TestDegradation:
                         break
             finally:
                 sock.close()
+                producer.settle("suspended")  # ends its pump
             return _counter(sup, "service_slow_client_evictions")
 
         evictions = asyncio.run(_serving(config, scenario))
@@ -469,16 +596,17 @@ class TestDegradation:
                 await gateway.start()
                 client = GatewayClient(gateway.base_url, timeout_s=30.0)
                 key = "feedfacecafebeef"
-                journal = gateway._journal(key)
-                journal.append("incumbent", {"n": 1})
-                gateway._jobs[key] = Job(
-                    "job-x", JobSpec(graph_file, k=2), sup.workdir
-                )
+                producer = Job("job-x", JobSpec(graph_file, k=2), sup.workdir)
+                gateway._track(key, producer).append("incumbent", {"n": 1})
 
                 stream_task = asyncio.ensure_future(
                     asyncio.to_thread(lambda: list(client.stream_once(key, 0)))
                 )
                 await asyncio.sleep(0.3)  # client is live, waiting for events
+                # The serve order: stop accepting (streams close), the
+                # supervisor suspends its jobs, then the pumps end.
+                await gateway.stop_accepting()
+                producer.settle("suspended")
                 await gateway.close()
                 records = await stream_task
 

@@ -82,19 +82,33 @@ class TestEventJournal:
         assert journal.append("result", {"state": "done", "answer": 4}) is None
         assert journal.terminal["id"] == 1
 
-    def test_settled_journal_reopens_for_a_later_append(self, tmp_path):
-        # A settled journal holds no file handle; a resubmitted spec's
-        # next event reopens it and continues the same file.
+    def test_settled_journal_takes_nothing_more(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = EventJournal(path)
         journal.append("incumbent", {"n": 1})
         journal.append("result", {"state": "failed"})
-        assert journal.append("incumbent", {"n": 2})["id"] == 3
-        assert journal.append("result", {"state": "done"}) is None
+        settled = path.read_bytes()
+        assert journal.append("incumbent", {"n": 2}) is None
+        assert journal.last_id == 2
         journal.close()
-        reloaded = EventJournal(path)
-        assert [r["id"] for r in reloaded.replay(0)] == [1, 2, 3]
-        assert reloaded.terminal["data"] == {"state": "failed"}
+        assert path.read_bytes() == settled
+
+    def test_readonly_load_leaves_the_file_alone(self, tmp_path):
+        # The gateway reads settled and detached journals this way: the
+        # same records as a writer would load, and no cut of the tail.
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        journal.append("incumbent", {"n": 1})
+        journal.append("result", {"state": "done"})
+        journal.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": 3, "type": "incumbent", "da')  # torn
+        on_disk = path.read_bytes()
+
+        reader = EventJournal(path, readonly=True)
+        assert [r["id"] for r in reader.replay(0)] == [1, 2]
+        assert reader.terminal["data"] == {"state": "done"}
+        assert path.read_bytes() == on_disk
 
     def test_reload_continues_where_predecessor_stopped(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -51,6 +51,10 @@ def _config(tmp_path, **kwargs) -> ServiceConfig:
     return ServiceConfig(**kwargs)
 
 
+async def _events(job):
+    return [event async for event in job.stream()]
+
+
 async def _solve(supervisor: Supervisor, spec: JobSpec):
     job = supervisor.submit(spec)
     events = [event async for event in job.stream()]
@@ -239,27 +243,51 @@ class TestWorkdirPersistence:
         assert not victim.checkpoint_path.exists()
         assert not other.checkpoint_path.exists()
 
-    def test_artifacts_are_content_keyed_and_duplicates_disambiguated(
+    def test_live_duplicate_attaches_and_runs_once(
         self, graph_file, tmp_path
     ):
-        sup = Supervisor(_config(tmp_path, workers=1))
         spec = JobSpec(graph_file, k=2, seed=7, name="twin")
-        first = sup.submit(spec)
-        second = sup.submit(spec)
-        # Checkpoint names derive from the spec content, not the
-        # restart-resetting job sequence...
-        assert spec.artifact_stem() in first.checkpoint_path.name
-        assert first.checkpoint_path.name == f"{spec.artifact_stem()}.wal"
-        # ...while two live submissions of one spec still never share
-        # a journal.
-        assert first.checkpoint_path != second.checkpoint_path
-        assert first.receipt_path != second.receipt_path
-        # A different spec (same but for the name) gets a different key.
-        other = sup.submit(JobSpec(graph_file, k=2, seed=7, name="tw1n"))
-        assert other.checkpoint_path.name == "tw1n-" + (
-            other.spec.content_key() + ".wal"
+
+        async def scenario():
+            async with Supervisor(_config(tmp_path, workers=1)) as sup:
+                first = sup.submit(spec)
+                second = sup.submit(spec)  # still queued: attaches
+                streams = await asyncio.gather(
+                    _events(first), _events(second)
+                )
+                results = [await job.result_dict() for job in (first, second)]
+                live = dict(sup.jobs)
+                # Settled, the spec is no longer live: a resubmission
+                # is a fresh admission, under the same artifact names.
+                third = sup.submit(spec)
+                await third.result_dict()
+            return first, second, third, streams, results, live, sup
+
+        first, second, third, streams, results, live, sup = asyncio.run(
+            scenario()
         )
-        assert other.spec.content_key() != spec.content_key()
+        assert second is first
+        # Both callers stream every incumbent and get the one answer.
+        assert streams[0] == streams[1] and streams[0]
+        assert results[0] == results[1]
+        assert live == {}
+        counters = sup.tracer.registry.as_dict()["counters"]
+        assert counters["service_jobs_submitted"] == 2  # first, third
+        assert counters["service_jobs_replayed"] == 1
+        assert counters["service_jobs_completed"] == 2
+        assert sup.stats()["jobs"] == {"done": 2}
+        # Artifact names derive from the spec content, not the
+        # restart-resetting job sequence.
+        assert third is not first
+        assert third.checkpoint_path == first.checkpoint_path
+        assert first.checkpoint_path.name == f"{spec.artifact_stem()}.wal"
+        assert first.receipt_path.name == (
+            f"{spec.artifact_stem()}.receipt.json"
+        )
+        # A different spec (same but for the name) gets a different key.
+        other = JobSpec(graph_file, k=2, seed=7, name="tw1n")
+        assert other.content_key() != spec.content_key()
+        assert other.artifact_stem() == "tw1n-" + other.content_key()
 
 
 class TestWorkerRobustness:
