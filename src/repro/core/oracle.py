@@ -21,10 +21,14 @@ the vertex register is a phase flip on satisfying subsets.  Because
 ``U_check`` is X-family only, the full circuit (hundreds of qubits for
 n = 10 graphs) is verified bit-exactly by
 :func:`repro.quantum.classical.classical_simulate`.
+
+qTKP charges :func:`price_oracle`'s closed-form counts instead of
+building the circuit, which stays the reference they are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..graphs import Graph
@@ -34,11 +38,10 @@ from ..quantum import (
     classical_simulate,
     compare_geq_const,
     compare_leq_const,
-    counter_width,
     popcount,
 )
 
-__all__ = ["OracleCosts", "KCplexOracle", "size_comparator_gates"]
+__all__ = ["OracleCosts", "KCplexOracle", "price_oracle"]
 
 #: Section labels used for component-wise gate accounting (Table IV).
 COMPONENT_ENCODE = "encode"
@@ -90,29 +93,44 @@ class OracleCosts:
         }
 
 
-def _size_comparator(
-    qc: QuantumCircuit, size_counter: list[int], threshold: int, alloc: QubitAllocator
-) -> int:
-    """Emit the ``[size >= T]`` flag; returns its qubit."""
-    if threshold == 0:
-        size_ok = alloc.take(1, "size_ok")[0]
-        qc.x(size_ok)
-        return size_ok
-    return compare_geq_const(qc, size_counter, threshold, alloc)
+def price_oracle(
+    complement_degrees: Sequence[int], k: int, threshold: int
+) -> OracleCosts:
+    """``KCplexOracle(complement, k, threshold).component_costs()`` in
+    closed form, without building the circuit (compact adder).
 
-
-def size_comparator_gates(num_vertices: int, threshold: int) -> int:
-    """Forward gate count of the size comparator ``[size >= threshold]``.
-
-    The comparator is the only block of :class:`KCplexOracle` that
-    depends on ``T``; every other block depends on ``(complement, k)``
-    alone.  qTKP therefore prices those once per ``(graph, k)`` and adds
-    this count per probe instead of building the whole circuit.
+    ``complement_degrees[v]`` is ``d_v = n - 1 - deg(v)`` in the input
+    graph; ``n`` is its length.  Forward counts: one Toffoli per
+    complement edge; ``d_v`` increments of a ``bitlen(d_v)``-bit
+    counter at 2 gates per bit; per vertex one MCX per 0 bit of
+    ``k - 1`` plus an X, or a lone X where ``d_v`` cannot exceed
+    ``k - 1``, then the AND into ``cplex``; ``n`` increments of the
+    size counter, then one MCX per 1 bit of ``T`` plus an X.  O(n).
     """
-    qc = QuantumCircuit()
-    counter = qc.add_register("size", counter_width(num_vertices))
-    _size_comparator(qc, counter.qubits, threshold, QubitAllocator(qc))
-    return qc.num_gates
+    n = len(complement_degrees)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= threshold <= n:
+        raise ValueError(f"threshold must be in [0, n={n}], got {threshold}")
+    limit = k - 1
+    degree_count = 0
+    degree_compare = 1  # the AND of the flags into ``cplex``
+    for d in complement_degrees:
+        width = d.bit_length()
+        degree_count += 2 * width * d
+        if d and limit < (1 << width):
+            degree_compare += width - limit.bit_count() + 1
+        else:
+            degree_compare += 1
+    size_check = 2 * n * max(1, n.bit_length()) + threshold.bit_count() + 1
+    # Doubled for U_check and its inverse.
+    return OracleCosts(
+        encode=2 * (sum(complement_degrees) // 2),
+        degree_count=2 * degree_count,
+        degree_compare=2 * degree_compare,
+        size_check=2 * size_check,
+        mark=1,
+    )
 
 
 class KCplexOracle:
@@ -217,7 +235,11 @@ class KCplexOracle:
             size_counter = popcount(qc, vertex_reg.qubits, alloc, adder=self.adder)
         else:
             size_counter = alloc.take(1, "size")
-        size_ok = _size_comparator(qc, size_counter, self.threshold, alloc)
+        if self.threshold == 0:
+            size_ok = alloc.take(1, "size_ok")[0]
+            qc.x(size_ok)
+        else:
+            size_ok = compare_geq_const(qc, size_counter, self.threshold, alloc)
         qc.set_label(None)
 
         self._u_check = qc

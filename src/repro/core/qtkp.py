@@ -20,17 +20,19 @@ Steps 3-5 run on :class:`repro.grover.PhaseOracleGrover`, which keeps
 the two amplitudes (marked / unmarked) the register ever holds, so a
 probe's Grover run costs O(iterations) at any ``n``.
 
-Cost accounting: every Grover round costs one phase-oracle call (gate
-count from the constructed circuit) plus one diffusion operator; the
-per-component split feeds Table IV and the classical-vs-quantum tables.
-Only the size comparator depends on ``T``, so with a marked-set cache
-the circuit is built once per ``(graph, k)`` and each probe adds its own
-comparator's gates.
+Cost accounting: every Grover round costs one phase-oracle call plus
+one diffusion operator; the per-component split feeds Table IV and the
+classical-vs-quantum tables.  The oracle's gate counts are priced from
+the complement's degree sequence (:func:`repro.core.oracle.price_oracle`,
+O(n) per probe) rather than read off a built circuit, so a probe with a
+marked-set cache builds no circuit at all.  Without a cache a probe
+still builds :class:`~repro.core.oracle.KCplexOracle` for its predicate,
+the seed path's marking oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from ..resilience.gate import (
     GateVerification,
     execute_with_retries,
 )
-from .oracle import KCplexOracle, OracleCosts, size_comparator_gates
+from .oracle import KCplexOracle, OracleCosts, price_oracle
 
 __all__ = ["QTKPResult", "qtkp"]
 
@@ -197,31 +199,6 @@ def qtkp(
     return result
 
 
-def _probe_costs(
-    cache: MarkedSetCache, graph: Graph, k: int, threshold: int
-) -> OracleCosts:
-    """``KCplexOracle(graph.complement(), k, threshold).component_costs()``,
-    with the circuit built once per ``(graph, k)``.
-
-    Only the size comparator depends on ``threshold``: the counts of
-    every other block are kept beside the cache's ``(graph, k)`` table
-    and each probe adds its own comparator (twice: ``U_check`` and its
-    inverse).
-    """
-    n = graph.num_vertices
-
-    def threshold_free() -> OracleCosts:
-        costs = KCplexOracle(graph.complement(), k, threshold).component_costs()
-        return replace(
-            costs, size_check=costs.size_check - 2 * size_comparator_gates(n, threshold)
-        )
-
-    costs = cache.oracle_costs(graph, k, threshold_free)
-    return replace(
-        costs, size_check=costs.size_check + 2 * size_comparator_gates(n, threshold)
-    )
-
-
 def _qtkp_body(
     graph: Graph,
     k: int,
@@ -236,11 +213,10 @@ def _qtkp_body(
     n = graph.num_vertices
     if cache is not None:
         engine = PhaseOracleGrover(n, cache.marked(graph, k, threshold))
-        per_call = _probe_costs(cache, graph, k, threshold)
     else:
         oracle = KCplexOracle(graph.complement(), k, threshold)
         engine = PhaseOracleGrover(n, oracle.predicate)
-        per_call = oracle.component_costs()
+    per_call = price_oracle([n - 1 - d for d in graph.degrees()], k, threshold)
     exact_m = engine.num_marked
 
     stats = GateVerification() if injector is not None else None

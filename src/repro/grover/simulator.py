@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,14 +43,14 @@ from .iterations import optimal_iterations, success_probability
 __all__ = ["GroverRun", "PhaseOracleGrover", "grover_circuit"]
 
 
-@dataclass
+@dataclass(eq=False)
 class GroverRun:
     """Everything produced by one Grover execution.
 
     Attributes
     ----------
-    num_qubits, marked:
-        The search-space size and marked set.
+    num_qubits:
+        The search-register width.
     iterations:
         Number of oracle+diffusion rounds applied.
     marked_amplitude, unmarked_amplitude:
@@ -72,18 +73,33 @@ class GroverRun:
     sorted_marked:
         The marked basis states as an ascending ``int64`` array, which
         places the marked amplitude in the expanded views and is the
-        second level of the measurement CDF.
+        second level of the measurement CDF.  :attr:`marked` is the
+        same set as a frozenset, built on first read.  Runs compare
+        equal only over equal marked sets.
     """
 
     num_qubits: int
-    marked: frozenset[int]
     iterations: int
     marked_amplitude: float
     unmarked_amplitude: float
     history: list[float] = field(default_factory=list)
     snapshots: dict[int, tuple[float, float]] = field(default_factory=dict)
     depolarization: float = 0.0
-    sorted_marked: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    sorted_marked: np.ndarray = field(kw_only=True, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroverRun):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+    @cached_property
+    def marked(self) -> frozenset[int]:
+        """The marked basis states as a frozenset."""
+        return frozenset(self.sorted_marked.tolist())
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -203,12 +219,13 @@ class PhaseOracleGrover:
         * a predicate ``mask -> bool``, evaluated over all ``2^n``
           masks up front (the slow, always-available form);
         * an iterable of marked basis indices;
-        * a NumPy integer array of marked indices — the fast path for
-          precomputed marked sets (:mod:`repro.perf`), which skips the
-          per-element Python conversion of the iterable form.
+        * a NumPy integer array of marked indices, in any order and
+          with repeats allowed — the fast path for precomputed marked
+          sets (:mod:`repro.perf`): one sort and an adjacent-duplicate
+          drop, with no per-element Python conversion.
 
         All three forms with the same marked set produce bit-identical
-        runs.
+        runs.  :attr:`marked` (a frozenset) is built only when read.
     """
 
     #: Widest register accepted.  A run needs O(1) memory at any width;
@@ -233,25 +250,32 @@ class PhaseOracleGrover:
                 raise ValueError(
                     f"marked array must have an integer dtype, got {oracle.dtype}"
                 )
-            marked = np.unique(oracle.astype(np.int64))
+            # np.unique's result without its hashing: sort, then keep
+            # each entry that differs from its predecessor.
+            marked = np.sort(oracle.astype(np.int64))
+            marked = marked[np.diff(marked, prepend=marked[:1] - 1) != 0]
         elif callable(oracle):
             marked = np.array([i for i in range(dim) if oracle(i)], dtype=np.int64)
         else:
-            marked = np.array(sorted(set(int(i) for i in oracle)))
+            marked = np.array(sorted(set(int(i) for i in oracle)), dtype=np.int64)
         if marked.size and (marked[0] < 0 or marked[-1] >= dim):
             raise ValueError("marked index out of range")
-        self._sorted_marked = marked.astype(np.int64)
-        self.marked = frozenset(self._sorted_marked.tolist())
+        self._sorted_marked = marked
+
+    @cached_property
+    def marked(self) -> frozenset[int]:
+        """The marked basis states as a frozenset."""
+        return frozenset(self._sorted_marked.tolist())
 
     @property
     def num_marked(self) -> int:
-        return len(self.marked)
+        return int(self._sorted_marked.size)
 
     def optimal_iterations(self) -> int:
         """Canonical iteration count for this instance (0 if M = 0)."""
-        if not self.marked:
+        if not self.num_marked:
             return 0
-        return optimal_iterations(1 << self.num_qubits, len(self.marked))
+        return optimal_iterations(1 << self.num_qubits, self.num_marked)
 
     def run(
         self,
@@ -294,7 +318,7 @@ class PhaseOracleGrover:
             if i in wanted:
                 snapshots[i] = (a_marked, a_unmarked)
         return GroverRun(
-            self.num_qubits, self.marked, iterations, a_marked, a_unmarked,
+            self.num_qubits, iterations, a_marked, a_unmarked,
             history=history, snapshots=snapshots,
             depolarization=(
                 1.0 - (1.0 - depolarize) ** iterations if depolarize else 0.0
@@ -304,7 +328,7 @@ class PhaseOracleGrover:
 
     def theoretical_success(self, iterations: int) -> float:
         """Closed-form ``sin^2((2i+1) theta)`` for cross-checking."""
-        return success_probability(1 << self.num_qubits, len(self.marked), iterations)
+        return success_probability(1 << self.num_qubits, self.num_marked, iterations)
 
 
 def grover_circuit(num_qubits: int, oracle_circuit: QuantumCircuit, iterations: int) -> QuantumCircuit:

@@ -74,6 +74,12 @@ def _csr(data, indices, indptr, shape):
     return csr_matrix((data, indices, indptr), shape=shape)
 
 
+def _no_csr(data, indices, indptr, shape) -> None:
+    """:func:`_csr` as an install without SciPy sees it: passed as
+    ``build_csr``, it selects the caller's pure-NumPy branch."""
+    return None
+
+
 @dataclass(frozen=True)
 class CSRQuadratic:
     """Sparse view of a binary quadratic model's coefficients.
@@ -220,10 +226,15 @@ def local_fields(
     after this, every accepted flip keeps the invariant by adjusting
     only the flipped variable's neighbour columns.
     """
+    return _local_fields(h, indptr, indices, data, states, _csr)
+
+
+def _local_fields(h, indptr, indices, data, states, build_csr) -> np.ndarray:
+    """:func:`local_fields`, its sparse matrix built by ``build_csr``."""
     states = np.asarray(states, dtype=np.float64)
     num_reads = states.shape[0]
     n = indptr.size - 1
-    j_sym = _csr(data, indices, indptr, (n, n)) if data.size else None
+    j_sym = build_csr(data, indices, indptr, (n, n)) if data.size else None
     if j_sym is not None:
         # J_sym is symmetric, so the row-wise product is one compiled
         # sparse @ dense multiply over the transposed batch.
@@ -319,6 +330,11 @@ def build_sweep_plan(
     by hand.  Column ids are sorted within a CSR row, so both cuts are
     ``searchsorted`` slices.
     """
+    return _sweep_plan(h, indptr, indices, data, row_sums, chunk, _csr)
+
+
+def _sweep_plan(h, indptr, indices, data, row_sums, chunk, build_csr) -> list:
+    """:func:`build_sweep_plan`, its chunk matrices built by ``build_csr``."""
     n = indptr.size - 1
     chunk = max(1, min(int(chunk), n)) if n else 1
     plan = SweepPlan()
@@ -329,7 +345,7 @@ def build_sweep_plan(
         sub_indices = indices[lo:hi]
         sub_data = data[lo:hi]
         jc = (
-            _csr(sub_data, sub_indices, sub_indptr, (end - start, n))
+            build_csr(sub_data, sub_indices, sub_indptr, (end - start, n))
             if sub_data.size
             else None
         )
@@ -695,6 +711,7 @@ def _tabu_descend_numpy(
     iterations: int,
     tenure: int,
     record_flips: list | None = None,
+    build_csr=_csr,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched single-flip tabu search over ``(num_restarts, n)`` states.
 
@@ -707,12 +724,13 @@ def _tabu_descend_numpy(
     loop.  ``x`` (int8) and ``energies`` are advanced in place;
     ``record_flips`` (a list, when given) receives the chosen variable
     index per replica for every step — the flip-for-flip evidence the
-    equivalence tests compare.
+    equivalence tests compare.  ``build_csr`` builds the initial
+    field set-up's sparse matrix.
 
     Returns ``(best_x, best_energies)`` per replica.
     """
     num_restarts, n = x.shape
-    fields = local_fields(h, indptr, indices, data, x)
+    fields = _local_fields(h, indptr, indices, data, x, build_csr)
     delta = (1.0 - 2.0 * x) * fields
     energy = np.asarray(energies, dtype=np.float64)
     best_energy = energy.copy()

@@ -193,6 +193,9 @@ class MarkedSetCache:
     edge set at every lookup.  The cache also holds no reference to
     the graph, so it never extends graph lifetimes.
 
+    It holds tables only; qTKP prices its oracle per probe
+    (:func:`repro.core.oracle.price_oracle`).
+
     Parameters
     ----------
     max_entries:
@@ -240,7 +243,6 @@ class MarkedSetCache:
         self.shared_misses = 0
         self.shared_publishes = 0
         self._tables: OrderedDict[tuple[str, int], MarkedSetTable] = OrderedDict()
-        self._oracle_costs: dict[tuple[str, int], object] = {}
 
     def __len__(self) -> int:
         return len(self._tables)
@@ -248,8 +250,7 @@ class MarkedSetCache:
     def _insert(self, key: tuple[str, int], table: MarkedSetTable) -> None:
         self._tables[key] = table
         while len(self._tables) > self.max_entries:
-            evicted, _ = self._tables.popitem(last=False)
-            self._oracle_costs.pop(evicted, None)
+            self._tables.popitem(last=False)
 
     def _shared_attach(self, key: tuple[str, int], num_vertices: int):
         """Try the shared tier on a local miss; charges shared counters."""
@@ -304,24 +305,6 @@ class MarkedSetCache:
     def marked(self, graph: Graph, k: int, threshold: int) -> np.ndarray:
         """Marked masks for one qTKP probe: k-plexes of size >= ``threshold``."""
         return self.table(graph, k).masks_at_least(threshold)
-
-    def oracle_costs(self, graph: Graph, k: int, build: Callable[[], object]) -> object:
-        """The qTKP oracle's threshold-independent gate counts for ``(graph, k)``.
-
-        Only the oracle's size comparator depends on the threshold, so
-        the rest of its gate count is, like the table, a property of
-        ``(graph, k)``.  ``build()`` computes it on the first probe; the
-        result is kept under the table's key and evicted with the table,
-        so a run-local cache shares it across one run's probes and a
-        caller-kept cache across runs.  Charges no hit or miss.
-        """
-        key = (graph.fingerprint(), k)
-        costs = self._oracle_costs.get(key)
-        if costs is None:
-            costs = build()
-            if key in self._tables:
-                self._oracle_costs[key] = costs
-        return costs
 
     def patch(
         self,

@@ -6,6 +6,11 @@ catches miscompiles, ABI mismatches, and toolchain quirks at resolution
 time — the registry treats a failed probe exactly like a missing
 toolchain (silent fallback to the reference) instead of letting a wrong
 kernel corrupt downstream results.
+
+The reference takes the pure-NumPy branch an install without SciPy
+takes, so resolving a tier never loads SciPy.  The probe's biases and
+couplings are multiples of 0.5 and its spins ±1, so every field sum is
+exact and that branch equals the SciPy branch byte for byte.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ def _probe_csr():
 def validate_backend(backend: KernelBackend) -> None:
     """Raise :class:`KernelUnavailable` unless ``backend`` matches the
     reference on the probe instance (byte-identical outputs)."""
-    from .anneal import _sa_sweep_numpy, _tabu_descend_numpy, build_sweep_plan
+    from .anneal import DEFAULT_SWEEP_CHUNK, _no_csr, _sa_sweep_numpy
+    from .anneal import _sweep_plan, _tabu_descend_numpy
     from .bitparallel import _enumerate_chunk
 
     rng = np.random.default_rng(12345)
@@ -59,7 +65,10 @@ def validate_backend(backend: KernelBackend) -> None:
 
     # --- sa_sweep: multi-chunk plan, both scatter branches -----------
     csr = _probe_csr()
-    plan = build_sweep_plan(csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums)
+    plan = _sweep_plan(
+        csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums,
+        DEFAULT_SWEEP_CHUNK, _no_csr,
+    )
     reads = 24
     spins = np.where(
         rng.integers(0, 2, size=(csr.num_variables, reads)) > 0, 1.0, -1.0
@@ -85,7 +94,7 @@ def validate_backend(backend: KernelBackend) -> None:
     got_trail: list = []
     ref_best = _tabu_descend_numpy(
         csr.h, csr.indptr, csr.indices, csr.data, ref_x, ref_e, 40, 7,
-        record_flips=ref_trail,
+        record_flips=ref_trail, build_csr=_no_csr,
     )
     got_best = backend.tabu_descend(
         csr.h, csr.indptr, csr.indices, csr.data, got_x, got_e, 40, 7,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grover import PhaseOracleGrover, grover_circuit
 from repro.quantum import QuantumCircuit, simulate
@@ -124,3 +126,53 @@ class TestMeasurementDistribution:
         first = run.measure_once(rng_a)
         counts = run.measure(1, rng_b)
         assert counts == {first: 1}
+
+
+@st.composite
+def marked_arrays(draw):
+    """A width and a marked-index array in any order, with repeats."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    indices = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3 << n))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint64]))
+    return n, np.array(indices, dtype=dtype)
+
+
+class TestMarkedArrayForm:
+    """An unsorted or repeating marked array is the set ``np.unique``
+    makes of it: same sorted array, same frozenset, same draws."""
+
+    @given(marked_arrays(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unique(self, case, seed):
+        n, indices = case
+        engine = PhaseOracleGrover(n, indices)
+        unique = np.unique(indices.astype(np.int64))
+        reference = PhaseOracleGrover(n, unique.tolist())
+        assert engine.num_marked == unique.size
+        assert engine.marked == frozenset(unique.tolist()) == reference.marked
+        iterations = reference.optimal_iterations()
+        assert engine.optimal_iterations() == iterations
+        run, expected = engine.run(iterations), reference.run(iterations)
+        assert run.sorted_marked.dtype == np.int64
+        assert np.array_equal(run.sorted_marked, unique)
+        assert run.marked == expected.marked
+        assert run == expected
+        assert run.measure(64, np.random.default_rng(seed)) == expected.measure(
+            64, np.random.default_rng(seed)
+        )
+        assert run.measure_once(np.random.default_rng(seed)) == (
+            expected.measure_once(np.random.default_rng(seed))
+        )
+
+    def test_input_array_left_untouched(self):
+        indices = np.array([9, 3, 9, 1])
+        PhaseOracleGrover(4, indices)
+        assert indices.tolist() == [9, 3, 9, 1]
+
+    def test_runs_over_different_marked_sets_differ(self):
+        a = PhaseOracleGrover(4, np.array([3, 12])).run(1)
+        b = PhaseOracleGrover(4, np.array([5, 10])).run(1)
+        assert a.num_qubits == b.num_qubits
+        assert a.history == b.history
+        assert a != b
+        assert a == PhaseOracleGrover(4, np.array([12, 3, 3])).run(1)

@@ -51,6 +51,39 @@ def test_serve_help_loads_no_scipy():
     assert _scipy_modules_after(code) == []
 
 
+def test_qmkp_solve_through_the_auto_tier_loads_no_scipy():
+    """Resolving the compiled tier runs its self-check, SciPy-free."""
+    from repro.perf import available_backends
+
+    if "cext" not in available_backends():
+        pytest.skip("no C compiler: the auto tier is the NumPy reference")
+    code = (
+        "import os\n"
+        "os.environ.pop('REPRO_KERNEL', None)\n"
+        "from repro.core import qmkp\n"
+        "from repro.graphs import gnm_random_graph\n"
+        "from repro.perf.kernels import resolve\n"
+        "assert resolve().name == 'cext', resolve().name\n"
+        "qmkp(gnm_random_graph(12, 30, seed=1), 2, rng=3)\n"
+    )
+    assert _scipy_modules_after(code) == []
+
+
+def test_cli_qmkp_solve_loads_no_scipy(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n1 3\n2 3\n2 4\n3 4\n1 4\n4 5\n5 6\n")
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['qmkp', 'solve', {str(edges)!r}, '-k', '2',"
+        " '--solver', 'qmkp']\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "assert 'maximum 2-plex size: 4' in out.getvalue(), out.getvalue()\n"
+    )
+    assert _scipy_modules_after(code) == []
+
+
 def test_simulated_annealing_takes_the_sparse_path():
     code = (
         "from repro.core import qamkp\n"

@@ -155,7 +155,9 @@ class TestQmkpEquivalence:
 
 
 class TestOracleCostMemo:
-    """qTKP builds the oracle circuit once per ``(graph, k)`` per cache."""
+    """qTKP prices every probe's oracle from the complement's degree
+    sequence: a cached probe builds no circuit, the uncached seed path
+    builds one per probe for its predicate."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -170,53 +172,33 @@ class TestOracleCostMemo:
         return built
 
     def test_one_build_per_cold_run(self, builds):
+        """At most one build per cold run: pricing needs none at all."""
         graph = gnm_random_graph(9, 20, seed=1)
         first = qmkp(graph, 2, rng=np.random.default_rng(0))
         assert first.qtkp_calls > 1
-        assert len(builds) == 1
-        # No process-global memo: a second cold run pays its own build.
+        assert builds == []
+        # No process-global state: a second cold run prices the same.
         second = qmkp(graph, 2, rng=np.random.default_rng(0))
-        assert len(builds) == 2
+        assert builds == []
         assert second.gate_units == first.gate_units
 
     def test_caller_kept_cache_shares_the_memo(self, builds):
+        """Runs sharing a cache share its table and still build nothing."""
         graph = gnm_random_graph(9, 20, seed=1)
         cache = MarkedSetCache()
-        qmkp(graph, 2, rng=np.random.default_rng(0), cache=cache)
+        first = qmkp(graph, 2, rng=np.random.default_rng(0), cache=cache)
+        misses = cache.misses
         qmkp(graph, 2, rng=np.random.default_rng(1), cache=cache)
-        assert len(builds) == 1
+        assert cache.misses == misses
+        assert builds == []
+        uncached = qmkp(graph, 2, rng=np.random.default_rng(0), use_cache=False)
+        assert first.gate_units == uncached.gate_units
 
     def test_uncached_run_builds_every_probe(self, builds):
+        """The seed path still marks through the built oracle's predicate."""
         graph = gnm_random_graph(9, 20, seed=1)
         result = qmkp(graph, 2, rng=np.random.default_rng(0), use_cache=False)
         assert len(builds) == result.qtkp_calls
-
-    def test_memo_kept_only_beside_a_table(self):
-        graph = gnm_random_graph(7, 10, seed=1)
-        cache = MarkedSetCache()
-        built = []
-
-        def build():
-            built.append(1)
-            return "costs"
-
-        assert cache.oracle_costs(graph, 2, build) == "costs"
-        cache.oracle_costs(graph, 2, build)
-        assert len(built) == 2  # no table for (graph, 2): nothing kept
-        cache.table(graph, 2)
-        cache.oracle_costs(graph, 2, build)
-        cache.oracle_costs(graph, 2, build)
-        assert len(built) == 3
-
-    def test_memo_evicted_with_its_table(self, builds):
-        a, b = gnm_random_graph(7, 10, seed=1), gnm_random_graph(7, 12, seed=2)
-        cache = MarkedSetCache(max_entries=1)
-        qtkp(a, 2, 3, rng=0, cache=cache)
-        qtkp(a, 2, 4, rng=0, cache=cache)
-        assert len(builds) == 1
-        qtkp(b, 2, 3, rng=0, cache=cache)  # evicts a's table and memo
-        qtkp(a, 2, 3, rng=0, cache=cache)
-        assert len(builds) == 3
 
 
 class TestSubsetSearchCache:

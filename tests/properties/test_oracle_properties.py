@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import qtkp
-from repro.core.oracle import KCplexOracle
+from repro.core.oracle import KCplexOracle, price_oracle
 from repro.graphs import Graph
 from repro.kplex import is_kplex
 from repro.perf import MarkedSetCache
@@ -25,6 +25,16 @@ def oracle_instances(draw, max_n=5):
     k = draw(st.integers(min_value=1, max_value=3))
     threshold = draw(st.integers(min_value=0, max_value=n))
     return g, k, threshold
+
+
+@st.composite
+def priced_instances(draw, max_n=18):
+    """Graphs up to ``max_n`` vertices: empty, complete, or any edge set."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    full = (1 << len(pairs)) - 1
+    bits = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return Graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
 
 
 class TestOracleFaithfulness:
@@ -56,16 +66,30 @@ class TestOracleFaithfulness:
         # U_check gates doubled plus the single mark equals the phase oracle.
         assert costs.total == oracle.phase_oracle_circuit().num_gates
 
-    @given(oracle_instances(max_n=7), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_memoised_costs_equal_full_build(self, instance, data):
-        """Probes sharing a cache price every threshold from one circuit."""
-        g, k, _ = instance
+    @given(priced_instances(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_memoised_costs_equal_full_build(self, g, data):
+        """Priced costs equal the built circuit's for every k and every
+        T, and are what qTKP charges, with a cache or without."""
+        n = g.num_vertices
+        degrees = [n - 1 - d for d in g.degrees()]
+        # k - 1 runs past the largest complement degree.  T enters only
+        # the size check and k only the degree comparison, so every k
+        # at one T and every T at one k cover the grid.
+        ks = range(1, max(degrees, default=0) + 3)
+        k = data.draw(st.sampled_from(ks))
+        t = data.draw(st.integers(0, n))
+        for kk, threshold in [(kk, t) for kk in ks] + [(k, tt) for tt in range(n + 1)]:
+            full = KCplexOracle(g.complement(), kk, threshold).component_costs()
+            assert price_oracle(degrees, kk, threshold) == full
+        if not n:
+            return
         cache = MarkedSetCache()
-        thresholds = data.draw(
-            st.lists(st.integers(1, g.num_vertices), min_size=2, max_size=4)
-        )
-        for threshold in thresholds:
-            result = qtkp(g, k, threshold, rng=0, cache=cache)
+        for threshold in data.draw(
+            st.lists(st.integers(1, n), min_size=2, max_size=4)
+        ):
             full = KCplexOracle(g.complement(), k, threshold).component_costs()
+            result = qtkp(g, k, threshold, rng=0, cache=cache)
             assert result.oracle_costs == full
+        if n <= 10:
+            assert qtkp(g, k, threshold, rng=0).oracle_costs == full

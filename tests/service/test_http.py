@@ -54,9 +54,15 @@ def _counter(sup, name: str) -> float:
 
 
 async def _until_idle(gateway, timeout_s: float = 10.0) -> None:
-    """Wait, at most ``timeout_s``, for every pump to end."""
+    """Wait, at most ``timeout_s``, for every pump and connection to end.
+
+    A client holds its result once the last frame is written, but the
+    event stream's handler still holds the job until it returns.
+    """
     deadline = time.monotonic() + timeout_s
-    while gateway._live and time.monotonic() < deadline:
+    while (
+        gateway._live or gateway._connections
+    ) and time.monotonic() < deadline:
         await asyncio.sleep(0.01)
 
 
