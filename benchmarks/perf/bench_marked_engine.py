@@ -1,9 +1,9 @@
-"""Perf harness for the bit-parallel marked-set engine.
+"""Perf harness for the marked-set engine.
 
 Measures end-to-end qMKP wall-clock on a generator instance three ways:
 
-* ``cached`` — the default path: one bit-parallel sweep per ``(graph,
-  k)`` shared across all binary-search thresholds
+* ``cached`` — the default path: one level sweep per ``(graph, k)``
+  shared across all binary-search thresholds
   (:class:`repro.perf.MarkedSetCache`);
 * ``uncached`` — the same tree with the cache disabled, i.e. a full
   predicate scan per threshold probe (the seed *structure*, with
@@ -12,18 +12,19 @@ Measures end-to-end qMKP wall-clock on a generator instance three ways:
   itself (run this script there via ``--legacy``), recorded verbatim so
   the emitted JSON carries true before/after numbers.
 
-It also runs a predicate-agreement sweep — the bit-parallel enumerator
+It also runs a predicate-agreement sweep — the level-sweep enumerator
 against ``KCplexOracle.predicate`` over every ``(k, T)`` on randomized
 small graphs — and **exits non-zero on any mismatch or any divergence
 between cached and uncached qMKP results**, which is what the CI smoke
 job gates on.
 
 A ``kernels`` block rides on the same harness: per-backend timing of
-the bit-parallel enumeration sweep
-(:func:`repro.perf.bitparallel.kplex_masks`) through every available
-kernel tier (numpy / cext), gated on byte-identical mask arrays and,
-when the compiled tier exists, on a minimum speedup over the NumPy
-reference.  ``--enum-only`` restricts the run to this block so the
+the level-by-level enumeration behind every marked-set table
+(:func:`repro.perf.bitparallel.kplex_levels`) through every available
+kernel tier (numpy / cext), gated on byte-identical mask arrays (the
+SHA-256 of :func:`~repro.perf.bitparallel.kplex_masks`' ascending
+``masks + sizes`` bytes) and, when the compiled tier exists, on a
+minimum speedup over the NumPy reference.  ``--enum-only`` restricts the run to this block so the
 committed ``n >= 24`` baseline stays tractable (the uncached qmkp at
 n = 24 scans 2^24 masks through the Python predicate at every probe).
 
@@ -93,42 +94,43 @@ def _time_qmkp(
 
 
 def kernel_comparison(graph, k, repeat: int, min_speedup: float) -> tuple[dict, list[str]]:
-    """Per-backend timing of the bit-parallel enumeration sweep.
+    """Per-backend timing of the level-by-level enumeration.
 
-    Every available tier runs the same ``kplex_masks`` sweep; outputs
-    are compared byte-for-byte against the NumPy reference, and the
-    fastest *compiled* tier must clear ``min_speedup`` (skipped when
-    only numpy is available — the tier is an accelerator, not a
+    Every available tier runs the same ``kplex_levels`` enumeration;
+    outputs are compared byte-for-byte against the NumPy reference, and
+    the fastest *compiled* tier must clear ``min_speedup`` (skipped
+    when only numpy is available — the tier is an accelerator, not a
     dependency).
     """
     import hashlib
 
-    from repro.perf.bitparallel import kplex_masks
+    from repro.perf.bitparallel import kplex_levels, kplex_masks
     from repro.perf.kernels import available_backends
 
     failures: list[str] = []
     backends = available_backends()
     block: dict = {"available": backends, "min_speedup": min_speedup, "tiers": {}}
     reference = None
+    seconds: dict[str, float] = {}
     for name in backends:
         best = float("inf")
-        digest = None
         for _ in range(repeat):
             start = time.perf_counter()
-            masks, sizes = kplex_masks(graph, k, kernel=name)
+            kplex_levels(graph, k, kernel=name)
             best = min(best, time.perf_counter() - start)
-            digest = hashlib.sha256(masks.tobytes() + sizes.tobytes()).hexdigest()
+        seconds[name] = best
+        masks, sizes = kplex_masks(graph, k, kernel=name)
+        digest = hashlib.sha256(masks.tobytes() + sizes.tobytes()).hexdigest()
         block["tiers"][name] = {
-            "seconds": round(best, 4),
+            "seconds": round(best, 6),
             "masks_sha256": digest,
             "num_marked": int(masks.size),
         }
         if name == "numpy":
             reference = digest
     for name, tier in block["tiers"].items():
-        tier["speedup_vs_numpy"] = round(
-            block["tiers"]["numpy"]["seconds"] / tier["seconds"], 2
-        )
+        # Millisecond tables: the ratio uses the unrounded timings.
+        tier["speedup_vs_numpy"] = round(seconds["numpy"] / seconds[name], 2)
         if tier["masks_sha256"] != reference:
             failures.append(f"kernel {name!r} produced different mask bytes")
     compiled = [n for n in backends if n != "numpy"]
@@ -177,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--graph-seed", type=int, default=3)
     parser.add_argument("--rng-seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=1, help="timing repeats (min taken)")
-    parser.add_argument("--workers", type=int, default=None, help="sweep process-pool width")
     parser.add_argument(
         "--sweep-instances", type=int, default=6,
         help="random instances for the predicate-agreement sweep",
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if kernel_failures else 0
 
     cached_s, cached_fp, _ = _time_qmkp(
-        graph, args.k, args.rng_seed, args.repeat, use_cache=True, workers=args.workers
+        graph, args.k, args.rng_seed, args.repeat, use_cache=True
     )
     uncached_s, uncached_fp, _ = _time_qmkp(
         graph, args.k, args.rng_seed, args.repeat, use_cache=False
@@ -270,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
 
         traced_s, traced_fp, tracer = _time_qmkp(
             graph, args.k, args.rng_seed, args.repeat,
-            tracer_factory=Tracer, use_cache=True, workers=args.workers,
+            tracer_factory=Tracer, use_cache=True,
         )
         if traced_fp != cached_fp:
             trace_failures.append("traced run diverged from untraced run")

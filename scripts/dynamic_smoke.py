@@ -53,7 +53,7 @@ def edit_script(graph) -> str:
 
 #: Per-step fields that legitimately differ between a crash-resumed run
 #: and an undisturbed one (resume bookkeeping, not answers or costs).
-VOLATILE = ("resumed_probes", "reused_partitions", "check")
+VOLATILE = ("resumed_probes", "check")
 
 
 def run_cli(args: list[str], cwd: str, crash_after: int | None = None):

@@ -11,13 +11,7 @@ subprocesses:
 3. require every chaos-run answer to be **byte-identical** to its
    reference, every receipt ledger reconciled, and the service metrics
    to account for exactly the scripted crashes and resumes;
-4. check the typed backpressure error on an over-capacity queue;
-5. run a fleet-shared-cache batch whose publishing worker is SIGKILLed
-   mid-publish (after the temp-segment fsync, before the atomic
-   rename): the store must hold zero torn segments, the resumed
-   attempt must fall back to local enumeration and republish, the
-   readers must attach, and every answer must stay byte-identical to
-   an undisturbed shared-cache run.
+4. check the typed backpressure error on an over-capacity queue.
 
 Everything is seeded and scripted — no wall-clock randomness — so a
 failure is a regression, never flake.  Exits nonzero with a diagnostic
@@ -36,7 +30,6 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.graphs import gnm_random_graph, write_edge_list  # noqa: E402
-from repro.perf import SharedTableStore  # noqa: E402
 from repro.service import (  # noqa: E402
     BackpressureError,
     ChaosPlan,
@@ -125,61 +118,6 @@ def main() -> int:
         print(f"backpressure: typed rejection ({exc})")
     else:
         fail("over-capacity submit was not rejected")
-
-    # Fleet-shared cache under a mid-publish SIGKILL.  One worker slot
-    # keeps the schedule exact: share-0 cold-builds, is killed between
-    # the temp-segment fsync and the atomic rename, resumes against an
-    # empty store, re-enumerates locally and publishes; share-1/share-2
-    # attach the one valid segment.
-    shared_specs = [
-        JobSpec(str(graph), k=2, seed=7, name=f"share-{i}") for i in range(3)
-    ]
-    _, shared_ref, _ = asyncio.run(run_batch(
-        shared_specs, tmp / "shared-ref", workers=1,
-        shared_cache_dir=str(tmp / "cache-ref"),
-    ))
-    chaos = ChaosPlan(publish_kills={"share-0": [1]})
-    _, shared_results, shared_sup = asyncio.run(run_batch(
-        shared_specs, tmp / "shared-chaos", workers=1, chaos=chaos,
-        shared_cache_dir=str(tmp / "cache-chaos"),
-    ))
-    for spec, result, ref in zip(shared_specs, shared_results, shared_ref):
-        if result["answer"] != ref["answer"]:
-            fail(
-                f"{spec.name}: shared-cache chaos answer differs:\n"
-                f"  reference: {json.dumps(ref['answer'], sort_keys=True)}\n"
-                f"  chaos:     {json.dumps(result['answer'], sort_keys=True)}"
-            )
-        if not result["verified"]:
-            fail(f"{spec.name}: shared-cache chaos ledger did not reconcile")
-    counters = shared_sup.tracer.registry.as_dict()["counters"]
-    if counters.get("service_worker_crashes") != 1:
-        fail(f"expected 1 mid-publish crash, saw {counters}")
-    if counters.get("service_jobs_resumed") != 1:
-        fail(f"expected 1 resume after the publish kill, saw {counters}")
-    store = SharedTableStore(tmp / "cache-chaos")
-    if len(store) != 1:
-        fail(f"expected exactly 1 valid segment after the kill, saw {len(store)}")
-    # The kill orphans the fsynced-but-never-renamed temp file; that is
-    # the crash-safety contract working, and readers must ignore it.
-    leftovers = [
-        p.name for p in (tmp / "cache-chaos").iterdir()
-        if p.suffix not in (".seg", ".gen")
-    ]
-    if any(not name.endswith(".tmp") for name in leftovers):
-        fail(f"unexpected debris in the segment store: {leftovers}")
-    stats = [res["cache"] for res in shared_results]
-    publishes = sum(s["shared_publishes"] for s in stats)
-    hits = sum(s["shared_hits"] for s in stats)
-    if publishes != 1 or hits != 2:
-        fail(
-            f"expected 1 publish + 2 shared hits after the kill, "
-            f"saw publishes={publishes} hits={hits}"
-        )
-    print(
-        "shared cache: mid-publish SIGKILL left old-or-nothing, "
-        "resume republished, 2 readers attached, answers byte-identical"
-    )
 
     print("OK")
     return 0

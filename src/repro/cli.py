@@ -59,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int, default=None, help="random seed")
     solve.add_argument(
-        "--workers", type=int, default=None,
-        help="qmkp: process-pool width for the bit-parallel marked-set "
-        "sweep (worthwhile on large n)",
-    )
-    solve.add_argument(
         "--no-cache", action="store_true",
         help="qmkp: disable the cross-threshold marked-set cache "
         "(forces the per-probe predicate scan)",
@@ -103,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--kernel", choices=["auto", "numpy", "cext"], default=None,
-        help="compiled-kernel backend for the bit-parallel sweep and SA "
+        help="compiled-kernel backend for the k-plex enumeration and SA "
         "inner loops (default: the REPRO_KERNEL env var, else auto = "
         "fastest available; all backends are byte-identical)",
     )
@@ -182,17 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant admission pool, repeatable "
         "(e.g. --tenant-budget acme=50000)",
     )
-    serve.add_argument(
-        "--shared-cache", action="store_true",
-        help="share one marked-set table store across all workers "
-        "(identical graphs enumerate once per fleet, not once per job); "
-        "stored under the workdir unless --shared-cache-dir is given",
-    )
-    serve.add_argument(
-        "--shared-cache-dir", default=None, metavar="DIR",
-        help="directory for the fleet-shared table store "
-        "(implies --shared-cache)",
-    )
 
     submit = sub.add_parser(
         "submit", help="submit a solve request to a service gateway"
@@ -254,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--profile", choices=["exact", "warm"], default="exact",
-        help="reuse profile: 'exact' patches marked-set tables only "
-        "(every step byte-identical to a cold solve); 'warm' adds "
-        "incumbent/sampleset carry-over (same optimum size, different "
-        "randomness)",
+        help="reuse profile: 'exact' (every step byte-identical to a "
+        "cold solve); 'warm' adds incumbent/sampleset carry-over (same "
+        "optimum size, different randomness)",
     )
     watch.add_argument(
         "--seed", type=int, default=0,
@@ -283,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--kernel", choices=["auto", "numpy", "cext"], default=None,
-        help="kernel backend for sweeps/patches/anneals",
+        help="kernel backend for enumerations/anneals",
     )
     watch.add_argument(
         "--out", metavar="PATH", default=None,
@@ -292,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write the session run-ledger JSON to PATH; exits 3 on "
-        "ledger drift (reuse claims are reconciled per step)",
+        "ledger drift (warm-start claims are reconciled per step)",
     )
     watch.add_argument(
         "--metrics", choices=["json", "prom"], default=None,
@@ -344,21 +327,20 @@ def _cmd_solve(args, graph, labels) -> int:
     if args.k < 1:
         print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
         return 2
-    # Every qmkp probe enumerates all 2^n subsets (the bit-parallel sweep
-    # shares the engine's ceiling, MAX_VERTICES == MAX_QUBITS).
+    # The enumeration shares the engine's ceiling (MAX_VERTICES ==
+    # MAX_QUBITS); lifting it needs a measurement contract above 2^53
+    # states and a marked-count admission budget.
     limit = PhaseOracleGrover.MAX_QUBITS
     if args.solver == "qmkp" and graph.num_vertices > limit:
         print(
-            f"error: --solver qmkp enumerates all 2^n vertex subsets and "
-            f"supports n <= {limit}; this graph has n = {graph.num_vertices}",
+            f"error: --solver qmkp supports n <= {limit} until its "
+            f"measurement and marked-set memory are bounded for wider "
+            f"graphs; this graph has n = {graph.num_vertices}",
             file=sys.stderr,
         )
         return 2
-    if args.solver != "qmkp" and (args.workers is not None or args.no_cache):
-        print(
-            "error: --workers/--no-cache require --solver qmkp",
-            file=sys.stderr,
-        )
+    if args.solver != "qmkp" and args.no_cache:
+        print("error: --no-cache requires --solver qmkp", file=sys.stderr)
         return 2
     if args.solver != "qmkp" and (
         args.deadline is not None
@@ -419,7 +401,7 @@ def _cmd_solve(args, graph, labels) -> int:
         try:
             result = qmkp(
                 graph, args.k, rng=rng,
-                use_cache=not args.no_cache, workers=args.workers,
+                use_cache=not args.no_cache,
                 kernel=args.kernel,
                 tracer=tracer,
                 deadline=args.deadline,
@@ -695,8 +677,6 @@ def _cmd_watch(args, graph, labels) -> int:
             + (f" [{'; '.join(e.as_line() for e in step.edits)}]" if step.edits else "")
             + f": size={step.size} vertices={_translate(step.subset, labels)}"
         )
-        if step.reused_partitions:
-            line += f" reused={step.reused_partitions}"
         if step.warm_start_hits:
             line += " warm"
         if step.resumed_probes:
@@ -707,7 +687,6 @@ def _cmd_watch(args, graph, labels) -> int:
             "fingerprint": step.fingerprint,
             "size": step.size,
             "vertices": _translate(step.subset, labels),
-            "reused_partitions": step.reused_partitions,
             "warm_start_hits": step.warm_start_hits,
             "resumed_probes": step.resumed_probes,
         }
@@ -750,8 +729,7 @@ def _cmd_watch(args, graph, labels) -> int:
     stats = session.cache.stats()
     print(
         f"{len(steps)} step(s); cache: {stats['misses']} sweep(s), "
-        f"{stats['patches']} patch(es), {stats['reused_partitions']} "
-        "mask(s) reused without re-evaluation"
+        f"{stats['hits']} hit(s)"
     )
     if tracer is not None:
         rc = _emit_observability(args, tracer)
@@ -768,7 +746,6 @@ def _cmd_watch(args, graph, labels) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
-    from pathlib import Path
 
     from .service import Gateway, ServiceConfig, Supervisor
 
@@ -788,13 +765,6 @@ def _cmd_serve(args) -> int:
                 f"error: --tenant-budget {item!r}: not a number", file=sys.stderr
             )
             return 2
-    shared_cache_dir = None
-    if args.shared_cache_dir is not None:
-        shared_cache_dir = args.shared_cache_dir
-    elif args.shared_cache:
-        # Default under the workdir: shared segments then survive server
-        # restarts exactly as long as the checkpoints they sit next to.
-        shared_cache_dir = str(Path(args.workdir) / "shared-cache")
     try:
         config = ServiceConfig(
             workers=args.workers,
@@ -802,7 +772,6 @@ def _cmd_serve(args) -> int:
             max_resumes=args.max_resumes,
             tenant_budgets=budgets,
             workdir=args.workdir,
-            shared_cache_dir=shared_cache_dir,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

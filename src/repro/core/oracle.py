@@ -23,7 +23,9 @@ n = 10 graphs) is verified bit-exactly by
 :func:`repro.quantum.classical.classical_simulate`.
 
 qTKP charges :func:`price_oracle`'s closed-form counts instead of
-building the circuit, which stays the reference they are tested against.
+building the circuit, which stays the reference they are tested against;
+its uncached path marks subsets with :func:`kcplex_predicate`, which
+needs no circuit either.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..quantum import (
     popcount,
 )
 
-__all__ = ["OracleCosts", "KCplexOracle", "price_oracle"]
+__all__ = ["OracleCosts", "KCplexOracle", "kcplex_predicate", "price_oracle"]
 
 #: Section labels used for component-wise gate accounting (Table IV).
 COMPONENT_ENCODE = "encode"
@@ -131,6 +133,29 @@ def price_oracle(
         size_check=2 * size_check,
         mark=1,
     )
+
+
+def kcplex_predicate(complement: Graph, k: int, threshold: int, mask: int) -> bool:
+    """Is the subset ``mask`` a k-cplex of ``complement`` with size >= T?
+
+    The function the oracle circuit computes, evaluated directly on the
+    raw bitmask via :meth:`Graph.degree_in_mask` — no per-call
+    ``frozenset`` materialisation and no circuit.
+    """
+    if mask < 0 or mask >> complement.num_vertices:
+        raise ValueError(
+            f"bitmask {mask} out of range for n={complement.num_vertices}"
+        )
+    if mask.bit_count() < threshold:
+        return False
+    limit = k - 1
+    remaining = mask
+    while remaining:
+        v = (remaining & -remaining).bit_length() - 1
+        if complement.degree_in_mask(v, mask) > limit:
+            return False
+        remaining &= remaining - 1
+    return True
 
 
 class KCplexOracle:
@@ -274,24 +299,8 @@ class KCplexOracle:
 
     def predicate(self, mask: int) -> bool:
         """Direct evaluation: is the subset a k-cplex of size >= T?
-
-        Works on the raw bitmask via :meth:`Graph.degree_in_mask` — no
-        per-call ``frozenset`` materialisation.
-        """
-        if mask < 0 or mask >> self.complement.num_vertices:
-            raise ValueError(
-                f"bitmask {mask} out of range for n={self.complement.num_vertices}"
-            )
-        if mask.bit_count() < self.threshold:
-            return False
-        limit = self.k - 1
-        remaining = mask
-        while remaining:
-            v = (remaining & -remaining).bit_length() - 1
-            if self.complement.degree_in_mask(v, mask) > limit:
-                return False
-            remaining &= remaining - 1
-        return True
+        (:func:`kcplex_predicate` on this oracle's instance.)"""
+        return kcplex_predicate(self.complement, self.k, self.threshold, mask)
 
     def classical_eval(self, mask: int) -> bool:
         """Run the actual ``U_check`` gate list on a basis state.

@@ -12,6 +12,13 @@ explicitly:
   polynomial upper bounds can shrink the instance / search interval
   before the quantum search runs; both hooks are built in.
 
+Every probe's marked set is a suffix of one size-partitioned table per
+``(graph, k)`` (:class:`repro.perf.MarkedSetCache`), grown level by
+level from the empty set in ``O(M * n)`` for ``M`` k-plexes rather than
+tested over all ``2^n`` subsets.  Graphs stay at ``n <= 26``
+(:data:`repro.perf.MAX_VERTICES`) until the measurement and the
+table's memory are bounded for wider ones.
+
 On top of the paper's algorithm sits the gate-stack resilience layer
 (PR 5): a qMKP run can carry a :class:`~repro.resilience.DeadlineBudget`
 of gate units shared across all probes (degrading to the classical
@@ -119,7 +126,6 @@ def qmkp(
     rng: np.random.Generator | int | None = None,
     use_cache: bool = True,
     cache: MarkedSetCache | None = None,
-    workers: int | None = None,
     warm: frozenset[int] | None = None,
     kernel: str | None = None,
     tracer=None,
@@ -150,18 +156,15 @@ def qmkp(
         Grover measurement — no layer below creates its own generator,
         so a fixed seed pins the whole run.
     use_cache:
-        Share one bit-parallel marked-set sweep across all threshold
-        probes (:class:`repro.perf.MarkedSetCache`) instead of
-        re-scanning ``2^n`` masks per probe.  Results are bit-identical
-        with or without the cache; ``False`` forces the seed path (for
-        benchmarking and equivalence tests).
+        Share one marked-set table across all threshold probes
+        (:class:`repro.perf.MarkedSetCache`) instead of re-scanning
+        ``2^n`` masks through the predicate per probe.  Results are
+        bit-identical with or without the cache; ``False`` forces the
+        seed path (for benchmarking and equivalence tests).
     cache:
         An existing cache to reuse across qMKP runs; implies
         ``use_cache``.  When None and ``use_cache`` is set, a run-local
         cache is created.
-    workers:
-        Process-pool width for the bit-parallel sweep's chunks (only
-        worth it for large ``n``); forwarded to the run-local cache.
     warm:
         A known-feasible k-plex of ``graph`` (input-graph vertex ids)
         used as the search's initial incumbent: it is classically
@@ -174,7 +177,7 @@ def qmkp(
         guaranteed to match a cold run.  Incompatible with
         ``reduce_first`` (the seed is expressed in unreduced ids).
     kernel:
-        Kernel-backend name for the run-local marked-set sweep
+        Kernel-backend name for the run-local marked-set enumeration
         (:mod:`repro.perf.kernels`); ignored when an explicit ``cache``
         is supplied (the cache carries its own).  All backends produce
         byte-identical results.
@@ -232,7 +235,7 @@ def qmkp(
     rng = np.random.default_rng(rng)
     tracer = tracer or NULL_TRACER
     if cache is None and use_cache:
-        cache = MarkedSetCache(workers=workers, kernel=kernel)
+        cache = MarkedSetCache(kernel=kernel)
     if isinstance(gate_faults, str):
         gate_faults = GateFaultPlan.parse(gate_faults)
     injector = (
@@ -279,15 +282,6 @@ def qmkp(
                 "marked_cache_misses",
                 stats_after["misses"] - stats_before["misses"],
             )
-            if getattr(cache, "shared", None) is not None:
-                # Shared-tier activity reconciles like every other claim;
-                # the keys exist only when the tier is configured, so
-                # no-shared ledgers are byte-identical to before.
-                for shared_key in ("shared_hits", "shared_misses", "shared_publishes"):
-                    span.claim(
-                        f"cache_{shared_key}",
-                        stats_after[shared_key] - stats_before[shared_key],
-                    )
     return result
 
 

@@ -25,14 +25,15 @@ one diffusion operator; the per-component split feeds Table IV and the
 classical-vs-quantum tables.  The oracle's gate counts are priced from
 the complement's degree sequence (:func:`repro.core.oracle.price_oracle`,
 O(n) per probe) rather than read off a built circuit, so a probe with a
-marked-set cache builds no circuit at all.  Without a cache a probe
-still builds :class:`~repro.core.oracle.KCplexOracle` for its predicate,
-the seed path's marking oracle.
+marked-set cache builds no circuit at all, and neither does one
+without: it marks subsets by scanning all ``2^n`` masks through
+:func:`~repro.core.oracle.kcplex_predicate`, the seed path's reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from ..resilience.gate import (
     GateVerification,
     execute_with_retries,
 )
-from .oracle import KCplexOracle, OracleCosts, price_oracle
+from .oracle import OracleCosts, kcplex_predicate, price_oracle
 
 __all__ = ["QTKPResult", "qtkp"]
 
@@ -142,10 +143,10 @@ def qtkp(
         Source of measurement randomness.
     cache:
         Optional :class:`repro.perf.MarkedSetCache`.  When given, the
-        marked set comes from the bit-parallel table for ``(graph, k)``
-        (one vectorized sweep, shared across thresholds) instead of a
-        fresh ``2^n`` Python predicate scan; results are bit-identical
-        either way.
+        marked set comes from the size-partitioned table for
+        ``(graph, k)`` (one level sweep, shared across thresholds)
+        instead of a fresh ``2^n`` Python predicate scan; results are
+        bit-identical either way.
     tracer:
         Optional :class:`repro.obs.Tracer`.  Opens one ``qtkp`` span
         with a child span per Grover execution; oracle calls and gate
@@ -214,8 +215,8 @@ def _qtkp_body(
     if cache is not None:
         engine = PhaseOracleGrover(n, cache.marked(graph, k, threshold))
     else:
-        oracle = KCplexOracle(graph.complement(), k, threshold)
-        engine = PhaseOracleGrover(n, oracle.predicate)
+        predicate = partial(kcplex_predicate, graph.complement(), k, threshold)
+        engine = PhaseOracleGrover(n, predicate)
     per_call = price_oracle([n - 1 - d for d in graph.degrees()], k, threshold)
     exact_m = engine.num_marked
 

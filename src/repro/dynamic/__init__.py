@@ -3,9 +3,9 @@
 Streaming layer above ``repro.core``: a mutable
 :class:`~repro.dynamic.DynamicGraph` journals edge/vertex edits, and an
 :class:`~repro.dynamic.IncrementalSolver` session re-solves the maximum
-k-plex after each mutation batch, patching the marked-set tables and
-(optionally) carrying incumbents/samplesets across steps instead of
-starting cold.  See :mod:`repro.dynamic.session` for the reuse channels
+k-plex after each mutation batch, byte-identical to a cold solve of
+each post-edit graph, and (optionally) carries incumbents/samplesets
+across steps.  See :mod:`repro.dynamic.session` for the reuse channels
 and their identity guarantees.
 """
 

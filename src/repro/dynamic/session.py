@@ -1,41 +1,35 @@
 """Incremental re-solve sessions over a mutating graph.
 
 An :class:`IncrementalSolver` owns a :class:`~repro.dynamic.DynamicGraph`
-and re-solves the maximum k-plex after each batch of mutations, reusing
-work from the previous step through up to three channels:
+and re-solves the maximum k-plex after each batch of mutations.
 
-1. **Marked-set patching** (qMKP only) — instead of re-sweeping all
-   ``2^n`` masks, the previous step's :class:`~repro.perf.MarkedSetTable`
-   is patched through each edit (:meth:`~repro.perf.MarkedSetCache.patch`):
-   a single-edge edit re-evaluates only the ``2^(n-2)`` masks containing
-   both endpoints.  The patched table is byte-identical to a fresh
-   sweep, so with the default ``profile="exact"`` every step's result is
-   **byte-identical** to a cold solve of the post-edit graph with the
-   same per-step seed — the property the ``tests/dynamic`` suite and the
-   CI ``dynamic-smoke`` job pin.
+With the default ``profile="exact"`` every step is a cold solve of the
+post-edit graph with the step's own seed, so its result is
+**byte-identical** to :func:`repro.core.qmkp` on that graph — the
+property the ``tests/dynamic`` suite and the CI ``dynamic-smoke`` job
+pin.  qMKP steps share the session's
+:class:`~repro.perf.MarkedSetCache`: a new structure costs one level
+sweep of its marked sets (milliseconds), and a stream that returns to
+an earlier structure hits its table.
 
-2. **Incumbent carry-over** (``profile="warm"``) — the previous optimum
-   is re-verified against the new graph (shrunk vertex-by-vertex if an
-   edge deletion broke it; dropping one endpoint per deleted edge always
-   restores feasibility) and seeds qMKP's ladder lower bound or the
+``profile="warm"`` adds two channels that carry work across steps:
+
+1. **Incumbent carry-over** — the previous optimum is re-verified
+   against the new graph (shrunk vertex-by-vertex if an edge deletion
+   broke it; dropping one endpoint per deleted edge always restores
+   feasibility) and seeds qMKP's binary-search lower bound or the
    branch search's initial incumbent.  Same optimum *size*,
    deterministic per seed, but not byte-identical: the threshold
    sequence changes.
 
-3. **Annealing warm starts** (``solver="qamkp-sa"``, ``profile="warm"``)
-   — the carried incumbent becomes every SA read's initial state via
-   the QUBO's closed-form optimal slack completion.
+2. **Annealing warm starts** (``solver="qamkp-sa"``) — the carried
+   incumbent becomes every SA read's initial state via the QUBO's
+   closed-form optimal slack completion.
 
 Each :meth:`IncrementalSolver.resolve` opens one ``dynamic.step`` span
-and *claims* its reuse on it (``reused_partitions``,
-``warm_start_hits``), so :meth:`repro.obs.RunLedger.verify` proves the
-advertised reuse actually happened — reuse accounting that drifts from
-the patch spans' recorded totals fails the ledger, not just a test.
-
-Mutations are journalled when they arrive but the cache is patched
-lazily inside ``resolve()``'s span: patching at mutation time would
-record the reuse as span-less orphan metrics and break the step's claim
-reconciliation.
+and *claims* its ``warm_start_hits`` on it, so
+:meth:`repro.obs.RunLedger.verify` proves the advertised reuse actually
+happened.
 """
 
 from __future__ import annotations
@@ -98,7 +92,6 @@ class StepResult:
     subset: frozenset[int]
     solver: str
     profile: str
-    reused_partitions: int = 0
     warm_start_hits: int = 0
     resumed_probes: int = 0
     result: object = field(default=None, repr=False, compare=False)
@@ -119,14 +112,13 @@ class IncrementalSolver:
     k:
         The k-plex parameter, fixed for the session.
     solver:
-        ``"qmkp"`` (Grover pipeline, all three reuse channels),
+        ``"qmkp"`` (Grover pipeline, incumbent channel),
         ``"bs"`` (classical branch search, incumbent channel only), or
         ``"qamkp-sa"`` (simulated annealing, warm-sampleset channel).
     profile:
-        ``"exact"`` (default) uses only byte-identity-preserving reuse:
-        every step equals a cold solve bit for bit.  ``"warm"`` adds the
-        incumbent / sampleset channels — same optimum size, not
-        byte-identical.
+        ``"exact"`` (default): every step equals a cold solve bit for
+        bit.  ``"warm"`` adds the incumbent / sampleset channels — same
+        optimum size, not byte-identical.
     seed:
         Session seed.  Step ``i`` solves with
         ``np.random.default_rng([seed, i])`` (qMKP) or an integer
@@ -137,7 +129,7 @@ class IncrementalSolver:
         budget, the sweep/anneal kernel backend).
     cache:
         The session's :class:`~repro.perf.MarkedSetCache` (qMKP only);
-        created with room for patched tables when omitted.
+        created when omitted.
     tracer:
         Optional :class:`repro.obs.Tracer`; each resolve contributes a
         ``dynamic.step`` span whose claims :meth:`ledger` can verify.
@@ -178,8 +170,7 @@ class IncrementalSolver:
         self.runtime_us = runtime_us
         self.kernel = kernel
         # ``cache or ...`` would discard a caller-provided *empty* cache
-        # (``MarkedSetCache.__len__`` makes it falsy) — e.g. the service
-        # runner's fleet-shared cache before its first table build.
+        # (``MarkedSetCache.__len__`` makes it falsy).
         self.cache = cache if cache is not None else MarkedSetCache(kernel=kernel)
         self.tracer = tracer or NULL_TRACER
         self.checkpoint_dir = (
@@ -188,17 +179,16 @@ class IncrementalSolver:
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.history: list[StepResult] = []
-        self._pending: list[tuple[Graph, Edit, Graph]] = []
+        self._pending: list[Edit] = []
         self._incumbent: frozenset[int] | None = None
 
     # ------------------------------------------------------------------
-    # Mutations (journalled now, reconciled inside resolve()'s span)
+    # Mutations (journalled now, solved at the next resolve())
     # ------------------------------------------------------------------
     def _record(self, mutate) -> Edit:
-        before = self.graph.snapshot()
         out = mutate()
         edit = self.graph.journal[-1]
-        self._pending.append((before, edit, self.graph.snapshot()))
+        self._pending.append(edit)
         return out if isinstance(out, Edit) else edit
 
     def add_edge(self, u: int, v: int) -> Edit:
@@ -208,11 +198,8 @@ class IncrementalSolver:
         return self._record(lambda: self.graph.remove_edge(u, v))
 
     def add_vertex(self) -> int:
-        before = self.graph.snapshot()
         new_id = self.graph.add_vertex()
-        self._pending.append(
-            (before, self.graph.journal[-1], self.graph.snapshot())
-        )
+        self._pending.append(self.graph.journal[-1])
         return new_id
 
     def apply(self, edit: Edit) -> Edit:
@@ -224,7 +211,7 @@ class IncrementalSolver:
     @property
     def pending_edits(self) -> tuple[Edit, ...]:
         """Mutations applied since the last :meth:`resolve`."""
-        return tuple(edit for _, edit, _ in self._pending)
+        return tuple(self._pending)
 
     @property
     def next_step(self) -> int:
@@ -249,8 +236,7 @@ class IncrementalSolver:
     def resolve(self) -> StepResult:
         """Solve the current graph, reusing the previous step's work."""
         step = self.next_step
-        pending = self._pending
-        edits = tuple(edit for _, edit, _ in pending)
+        edits = tuple(self._pending)
         working = self.graph.snapshot()
         with self.tracer.span(
             "dynamic.step",
@@ -261,7 +247,6 @@ class IncrementalSolver:
             solver=self.solver,
             profile=self.profile,
         ) as span:
-            reused = self._patch_pending(pending) if self.solver == "qmkp" else 0
             warm = self._warm_seed(working)
             result, subset, resumed, warm_hits = self._solve(
                 working, step, warm
@@ -270,7 +255,6 @@ class IncrementalSolver:
             span.set("fingerprint", working.fingerprint())
             if resumed:
                 span.set("resumed_probes", resumed)
-            span.claim("reused_partitions", reused)
             span.claim("warm_start_hits", warm_hits)
         step_result = StepResult(
             step=step,
@@ -279,7 +263,6 @@ class IncrementalSolver:
             subset=subset,
             solver=self.solver,
             profile=self.profile,
-            reused_partitions=reused,
             warm_start_hits=warm_hits,
             resumed_probes=resumed,
             result=result,
@@ -294,41 +277,6 @@ class IncrementalSolver:
         return RunLedger.from_tracer(self.tracer)
 
     # -- internals -------------------------------------------------------
-    def _patch_pending(self, pending) -> int:
-        """Patch the marked-set table through each journalled edit.
-
-        Runs inside the ``dynamic.step`` span with the cache's tracer
-        re-pointed at the session's, so the ``perf.patch`` spans (and
-        their ``reused_partitions`` contributions) land under the step.
-        Returns the number of masks carried over without re-evaluation.
-        """
-        if not pending:
-            return 0
-        prev_tracer = self.cache.tracer
-        self.cache.tracer = self.tracer
-        before = self.cache.stats()["reused_partitions"]
-        try:
-            if len(pending) >= 2 and all(
-                edit.op == "add_edge" for _, edit, _ in pending
-            ):
-                # Batch fusion: one re-sweep of the union pinned
-                # subspace against the final graph, byte-identical to
-                # patching through every intermediate snapshot.
-                self.cache.patch_batch(
-                    pending[0][0],
-                    pending[-1][2],
-                    self.k,
-                    [(edit.u, edit.v) for _, edit, _ in pending],
-                )
-            else:
-                for old_graph, edit, new_graph in pending:
-                    u = edit.u if edit.op != "add_vertex" else None
-                    v = edit.v if edit.op != "add_vertex" else None
-                    self.cache.patch(old_graph, new_graph, self.k, edit.op, u, v)
-        finally:
-            self.cache.tracer = prev_tracer
-        return self.cache.stats()["reused_partitions"] - before
-
     def _warm_seed(self, working: Graph) -> frozenset[int] | None:
         if self.profile != "warm" or self._incumbent is None:
             return None

@@ -228,10 +228,11 @@ class PhaseOracleGrover:
         runs.  :attr:`marked` (a frozenset) is built only when read.
     """
 
-    #: Widest register accepted.  A run needs O(1) memory at any width;
-    #: the limit is enumerating the marked set that feeds the engine
-    #: (``2^n`` predicate calls here, or the bit-parallel sweep capped
-    #: at :data:`repro.perf.MAX_VERTICES`).
+    #: Widest register accepted, the same ceiling as
+    #: :data:`repro.perf.MAX_VERTICES`.  A run needs O(1) memory at any
+    #: width and qMKP's marked sets come from a level sweep that scales
+    #: with their count, so n <= 26 holds only until measurement above
+    #: ``2^53`` states and the marked set's memory are bounded.
     MAX_QUBITS = 26
 
     def __init__(

@@ -9,7 +9,7 @@ exposition (:meth:`MetricRegistry.render_prometheus`).
 
 Metric names follow the ``subsystem_quantity`` convention used across
 the run ledger (``oracle_calls``, ``gate_units``, ``marked_cache_hits``,
-``resilience_attempts``, ``perf_chunks_scanned``, ...) so a ledger's
+``resilience_attempts``, ``perf_masks_scanned``, ...) so a ledger's
 span totals and the registry's counters describe the same quantities
 under the same names.
 """

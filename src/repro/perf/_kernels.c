@@ -1,11 +1,11 @@
 /* Compiled kernels behind repro.perf.kernels' "cext" backend.
  *
- * Three hot loops, each a line-for-line transcription of the NumPy
- * reference in repro/perf/bitparallel.py and repro/perf/anneal.py so the
- * produced decisions are identical:
+ * Three hot loops, each a transcription of the NumPy reference in
+ * repro/perf/bitparallel.py and repro/perf/anneal.py so the produced
+ * decisions are identical:
  *
- *   - enumerate_chunk: the popcount/SWAR k-cplex mask sweep.  Pure
- *     integer arithmetic, bit-for-bit equal to the reference.
+ *   - enumerate_levels: the level-by-level k-cplex mask enumeration.
+ *     Pure integer arithmetic, bit-for-bit equal to the reference.
  *   - sa_sweep_chunk:  one chunk of the Gauss-Seidel Metropolis sweep —
  *     bulk field build (same nnz accumulation order as SciPy's
  *     csr @ dense product) + intra-chunk forward scatter.  Float ops
@@ -22,6 +22,7 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -35,32 +36,82 @@ static int POPCOUNT64(uint64_t x) {
 }
 #endif
 
-/* Masks in [start, stop) whose selected vertices all have
- * popcount(mask & adj[v]) <= limit.  ``adj``/``nv`` hold only the
- * pre-filtered vertices (degree > limit), matching the reference's
- * skip of always-passing vertices; ``verts[i]`` is vertex i's bit
- * position.  Returns the number of surviving masks; out_masks /
- * out_sizes must have room for stop - start entries. */
-int64_t enumerate_chunk(
-    const uint64_t *adj, const int64_t *verts, int64_t nv,
-    int64_t limit, uint64_t start, uint64_t stop,
-    int64_t *out_masks, int64_t *out_sizes)
+#if defined(__GNUC__) || defined(__clang__)
+#define LOWBIT64(x) __builtin_ctzll(x)
+#else
+static int LOWBIT64(uint64_t x) {
+    int i = 0;
+    while (!((x >> i) & 1ULL)) ++i;
+    return i;
+}
+#endif
+
+/* Every mask whose selected vertices all have
+ * popcount(mask & adj[v]) <= limit, grouped by size and ascending
+ * inside each size.  The set is hereditary, so level s + 1 holds the
+ * members of level s extended by one vertex above their top bit; taken
+ * vertex by vertex, those extensions come out ascending.  A child
+ * c = p | bit(v) of a member p can only break at v itself or at a
+ * member u of p with v in adj[u], so only those are re-counted.
+ *
+ * adj holds one mask per vertex (n <= 64).  Returns a malloc'd array
+ * of all members, level after level (free it with release_levels), or
+ * NULL when memory runs out.  counts (n + 1 entries) receives each
+ * level's size, *candidates the number of children tested. */
+int64_t *enumerate_levels(
+    const uint64_t *adj, int64_t n, int64_t limit,
+    int64_t *counts, int64_t *candidates)
 {
-    int64_t count = 0;
-    for (uint64_t m = start; m < stop; ++m) {
-        int keep = 1;
-        for (int64_t i = 0; i < nv; ++i) {
-            if ((m >> verts[i]) & 1ULL) {
-                if (POPCOUNT64(m & adj[i]) > limit) { keep = 0; break; }
+    uint64_t radj[64];
+    for (int64_t v = 0; v < n; ++v) {
+        radj[v] = 0;
+        for (int64_t u = 0; u < n; ++u)
+            if ((adj[u] >> v) & 1ULL) radj[v] |= 1ULL << u;
+    }
+    int64_t cap = 1024;
+    int64_t *out = malloc((size_t)cap * sizeof(int64_t));
+    if (out == NULL) return NULL;
+    for (int64_t s = 0; s <= n; ++s) counts[s] = 0;
+    out[0] = 0;
+    counts[0] = 1;
+    int64_t lo = 0, hi = 1, total = 1, tested = 0;
+    for (int64_t s = 0; s < n && hi > lo; ++s) {
+        for (int64_t v = 0; v < n; ++v) {
+            const uint64_t bit = 1ULL << v;
+            for (int64_t i = lo; i < hi; ++i) {
+                const uint64_t p = (uint64_t)out[i];
+                if (p >= bit) break;
+                ++tested;
+                const uint64_t c = p | bit;
+                if (POPCOUNT64(c & adj[v]) > limit) continue;
+                uint64_t touched = p & radj[v];
+                int keep = 1;
+                while (touched) {
+                    const int u = LOWBIT64(touched);
+                    touched &= touched - 1;
+                    if (POPCOUNT64(c & adj[u]) > limit) { keep = 0; break; }
+                }
+                if (!keep) continue;
+                if (total == cap) {
+                    int64_t *grown = realloc(out, (size_t)(2 * cap) * sizeof(int64_t));
+                    if (grown == NULL) { free(out); return NULL; }
+                    out = grown;
+                    cap *= 2;
+                }
+                out[total++] = (int64_t)c;
             }
         }
-        if (keep) {
-            out_masks[count] = (int64_t)m;
-            out_sizes[count] = POPCOUNT64(m);
-            ++count;
-        }
+        counts[s + 1] = total - hi;
+        lo = hi;
+        hi = total;
     }
-    return count;
+    *candidates = tested;
+    return out;
+}
+
+void release_levels(int64_t *levels)
+{
+    free(levels);
 }
 
 /* One chunk [start, end) of a Metropolis sweep over the transposed

@@ -4,7 +4,7 @@ A "cython-style" compiled tier without build-time machinery: the C
 source ships as package data, and the first resolution of the ``cext``
 backend compiles it with the system C compiler into a per-source-digest
 shared library under a user cache directory (atomic rename, so
-concurrent processes — e.g. the enumerator's chunk workers — race
+concurrent processes — e.g. a service's runner children — race
 safely).  No ``Python.h``, no setuptools: the library is plain C driven
 through ``ctypes``, which keeps the tier optional and the toolchain
 requirement to "any cc".
@@ -106,12 +106,13 @@ def _build_library() -> Path:
 
 def _load_library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build_library()))
-    lib.enumerate_chunk.restype = ctypes.c_int64
-    lib.enumerate_chunk.argtypes = [
-        _U64, _I64, ctypes.c_int64,                     # adj, verts, nv
-        ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64,  # limit, start, stop
-        _U64, _I64,                                      # out_masks, out_sizes
+    lib.enumerate_levels.restype = ctypes.c_void_p
+    lib.enumerate_levels.argtypes = [
+        _U64, ctypes.c_int64, ctypes.c_int64,           # adj, n, limit
+        _I64, _I64,                                      # counts, candidates
     ]
+    lib.release_levels.restype = None
+    lib.release_levels.argtypes = [ctypes.c_void_p]
     lib.sa_sweep_chunk.restype = ctypes.c_int64
     lib.sa_sweep_chunk.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # reads, start, end
@@ -158,23 +159,21 @@ class CExtKernels(KernelBackend):
         validate_backend(self)
 
     # ------------------------------------------------------------------
-    def enumerate_chunk(self, adj_masks, limit, start, stop):
-        # Pre-filter exactly like the reference: vertices whose full
-        # complement degree cannot exceed the limit always pass.
-        verts = [
-            v for v, am in enumerate(adj_masks) if am.bit_count() > limit
-        ]
-        adj = np.asarray(
-            [adj_masks[v] for v in verts], dtype=np.uint64
+    def enumerate_levels(self, adj_masks, limit):
+        n = len(adj_masks)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        candidates = np.zeros(1, dtype=np.int64)
+        levels = self._lib.enumerate_levels(
+            np.asarray(adj_masks, dtype=np.uint64), n, limit, counts, candidates
         )
-        verts_arr = np.asarray(verts, dtype=np.int64)
-        span = stop - start
-        out_masks = np.empty(span, dtype=np.uint64)
-        out_sizes = np.empty(span, dtype=np.int64)
-        count = self._lib.enumerate_chunk(
-            adj, verts_arr, len(verts), limit, start, stop, out_masks, out_sizes
-        )
-        return out_masks[:count].copy(), out_sizes[:count].copy()
+        if not levels:
+            raise MemoryError("enumerate_levels: out of memory")
+        try:
+            by_size = np.empty(int(counts.sum()), dtype=np.int64)
+            ctypes.memmove(by_size.ctypes.data, levels, by_size.nbytes)
+        finally:
+            self._lib.release_levels(levels)
+        return by_size, counts, int(candidates[0])
 
     def sa_sweep(self, plan, spins_t, beta, uniforms):
         from .kernels import pack_sweep_plan

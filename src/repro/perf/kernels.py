@@ -1,11 +1,12 @@
 """Pluggable compiled-kernel tier for the perf engine's hot loops.
 
 Three inner loops dominate the pipeline's classical runtime — the
-bit-parallel mask enumeration (:func:`repro.perf.bitparallel`'s chunk
-sweep), the CSR Metropolis sweep, and the batched tabu flip loop
-(:mod:`repro.perf.anneal`).  Each has exactly one reference
-implementation (pure NumPy, byte-identical to the seed) and one
-compiled twin behind a common :class:`KernelBackend` interface:
+level-by-level k-plex mask enumeration
+(:func:`repro.perf.bitparallel.kplex_levels`), the CSR Metropolis
+sweep, and the batched tabu flip loop (:mod:`repro.perf.anneal`).  Each
+has exactly one reference implementation (pure NumPy, byte-identical
+to the seed) and one compiled twin behind a common
+:class:`KernelBackend` interface:
 
 * ``numpy`` — the reference.  Always available; selecting it (or having
   no C compiler at all) reproduces seed-era results bit-for-bit.
@@ -63,9 +64,9 @@ class KernelBackend:
 
     name: str = "?"
 
-    def enumerate_chunk(
-        self, adj_masks, limit: int, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def enumerate_levels(
+        self, adj_masks, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         raise NotImplementedError
 
     def sa_sweep(
@@ -171,10 +172,10 @@ class NumpyKernels(KernelBackend):
 
     name = "numpy"
 
-    def enumerate_chunk(self, adj_masks, limit, start, stop):
-        from .bitparallel import _enumerate_chunk
+    def enumerate_levels(self, adj_masks, limit):
+        from .bitparallel import _enumerate_levels
 
-        return _enumerate_chunk(adj_masks, limit, start, stop)
+        return _enumerate_levels(adj_masks, limit)
 
     def sa_sweep(self, plan, spins_t, beta, uniforms):
         from .anneal import _sa_sweep_numpy

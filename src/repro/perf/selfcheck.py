@@ -44,23 +44,27 @@ def validate_backend(backend: KernelBackend) -> None:
     reference on the probe instance (byte-identical outputs)."""
     from .anneal import DEFAULT_SWEEP_CHUNK, _no_csr, _sa_sweep_numpy
     from .anneal import _sweep_plan, _tabu_descend_numpy
-    from .bitparallel import _enumerate_chunk
+    from .bitparallel import _enumerate_levels
 
     rng = np.random.default_rng(12345)
 
     # --- enumerate: an 8-vertex adjacency with mixed degrees ---------
+    # (not symmetric, so a kernel must find each vertex's in-neighbours)
     adj_masks = tuple(
         int(m) & ~(1 << v) & 0xFF
         for v, m in enumerate(rng.integers(0, 256, size=8))
     )
     for limit in (0, 1, 2):
-        ref = _enumerate_chunk(adj_masks, limit, 0, 256)
-        got = backend.enumerate_chunk(adj_masks, limit, 0, 256)
+        ref = _enumerate_levels(adj_masks, limit)
+        got = backend.enumerate_levels(adj_masks, limit)
         if not (
-            np.array_equal(ref[0], got[0]) and np.array_equal(ref[1], got[1])
+            ref[0].dtype == got[0].dtype
+            and ref[0].tobytes() == got[0].tobytes()
+            and ref[1].tobytes() == got[1].tobytes()
+            and ref[2] == got[2]
         ):
             raise KernelUnavailable(
-                f"{backend.name}: enumerate_chunk self-check mismatch"
+                f"{backend.name}: enumerate_levels self-check mismatch"
             )
 
     # --- sa_sweep: multi-chunk plan, both scatter branches -----------

@@ -17,12 +17,6 @@ applies for that job only):
 * ``holds[name] = seconds`` — the runner sleeps before solving, pinning
   the job in the running state so shutdown/drain paths can be tested
   without races.
-* ``publish_kills[name] = [1]`` — attempt 0 SIGKILLs itself in the
-  middle of its 1st shared-cache publish: after the temp segment is
-  fsynced, *before* the atomic rename
-  (:data:`repro.perf.shared.PUBLISH_KILL_ENV`).  Exercises the store's
-  crash-safety contract — readers see the old segment or nothing,
-  never a torn table, and fall back to local enumeration.
 
 The gateway smoke adds **connection-level** faults, consumed by the
 client-side harness (:meth:`ChaosPlan.stream_faults`) rather than the
@@ -49,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..perf.shared import PUBLISH_KILL_ENV
 from ..resilience.checkpoint import CRASH_ENV, SIGINT_ENV
 
 __all__ = ["ChaosPlan", "HOLD_ENV"]
@@ -65,7 +58,6 @@ class ChaosPlan:
     kills: dict[str, list[int]] = field(default_factory=dict)
     interrupts: dict[str, list[int]] = field(default_factory=dict)
     holds: dict[str, float] = field(default_factory=dict)
-    publish_kills: dict[str, list[int]] = field(default_factory=dict)
     # Connection-level faults (gateway harness; not worker env):
     conn_drops: dict[str, list[int]] = field(default_factory=dict)
     stalled_readers: dict[str, float] = field(default_factory=dict)
@@ -86,9 +78,6 @@ class ChaosPlan:
         schedule = self.interrupts.get(name, [])
         if attempt < len(schedule):
             env[SIGINT_ENV] = str(schedule[attempt])
-        schedule = self.publish_kills.get(name, [])
-        if attempt < len(schedule):
-            env[PUBLISH_KILL_ENV] = str(schedule[attempt])
         hold = self.holds.get(name)
         if hold:
             env[HOLD_ENV] = str(hold)

@@ -46,14 +46,6 @@ class ServiceConfig:
     workdir:
         Directory for per-job checkpoint journals and ledger receipts
         (and the gateway's event journals).
-    shared_cache_dir:
-        Directory of the fleet-shared marked-set table store
-        (:class:`repro.perf.SharedTableStore`).  When set, every job's
-        :class:`~repro.perf.MarkedSetCache` attaches to the store, so
-        identical graphs submitted by different tenants enumerate once
-        per fleet instead of once per job.  None (the default) keeps
-        jobs fully independent — results, span trees, and ledgers are
-        byte-identical to a service without the tier.
     http_send_queue:
         Per-SSE-connection bound on buffered events.  A reader slow
         enough to fall this many events behind is evicted (connection
@@ -78,7 +70,6 @@ class ServiceConfig:
     breaker_cooldown_calls: int = 2
     tenant_budgets: dict[str, float] = field(default_factory=dict)
     workdir: str | Path | None = None
-    shared_cache_dir: str | Path | None = None
     http_send_queue: int = 64
     http_heartbeat_s: float = 10.0
     http_write_timeout_s: float = 30.0

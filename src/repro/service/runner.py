@@ -9,9 +9,9 @@ flight, because every completed qMKP probe is already fsynced in the
 job's write-ahead checkpoint journal.
 
 A job record carries the job's id, spec, checkpoint and receipt paths,
-and its per-job policy: ``shared_cache_dir`` (the fleet table store,
-or null) and ``env`` (chaos hooks, applied to ``os.environ`` for this
-job only).
+and ``env`` (chaos hooks, applied to ``os.environ`` for this job
+only).  Each job gets its own marked-set cache, so a job's cache
+counters and ledger are the same as in a child of its own.
 
 Protocol (one JSON object per stdout line, flushed immediately):
 
@@ -55,8 +55,6 @@ from ..core import qamkp, qmkp
 from ..graphs import read_edge_list
 from ..kplex import maximum_kplex
 from ..obs import RunLedger, Tracer
-from ..perf import MarkedSetCache
-from ..perf.shared import SharedTableStore
 from ..resilience import CheckpointError, CheckpointJournal
 from .chaos import HOLD_ENV
 from .jobs import JobSpec
@@ -69,25 +67,11 @@ def _emit(payload: dict[str, object]) -> None:
     sys.stdout.flush()
 
 
-def _job_cache(shared_dir: str | None) -> MarkedSetCache:
-    """The job's marked-set cache, fleet-shared when the record says so.
-
-    With no ``shared_dir`` this is exactly the run-local cache
-    ``qmkp``/``IncrementalSolver`` would have created themselves (same
-    defaults, same spans, same ledger) — building it here just makes
-    its counters observable in the result event either way.  A fresh
-    cache per job keeps every job's cache counters and ledger the same
-    as in a child of its own.
-    """
-    shared = SharedTableStore(shared_dir) if shared_dir else None
-    return MarkedSetCache(shared=shared)
-
-
 def _translate(subset, labels) -> list[object]:
     return sorted(labels[v] for v in subset)
 
 
-def _solve_qmkp(spec: JobSpec, graph, labels, job_id, checkpoint, tracer, cache):
+def _solve_qmkp(spec: JobSpec, graph, labels, job_id, checkpoint, tracer):
     resume = checkpoint if CheckpointJournal.resumable(checkpoint) else None
 
     def on_progress(event, subset, replayed) -> None:
@@ -106,7 +90,6 @@ def _solve_qmkp(spec: JobSpec, graph, labels, job_id, checkpoint, tracer, cache)
         graph,
         spec.k,
         rng=np.random.default_rng(spec.seed),
-        cache=cache,
         tracer=tracer,
         deadline=spec.gate_deadline,
         checkpoint=checkpoint,
@@ -127,9 +110,7 @@ def _solve_qmkp(spec: JobSpec, graph, labels, job_id, checkpoint, tracer, cache)
     return answer, extra
 
 
-def _solve_qmkp_dynamic(
-    spec: JobSpec, graph, labels, job_id, checkpoint, tracer, cache
-):
+def _solve_qmkp_dynamic(spec: JobSpec, graph, labels, job_id, checkpoint, tracer):
     """Mutation job: an incremental session over the spec's edit script.
 
     Each step re-solves after one edit, journalling its probes into a
@@ -137,7 +118,7 @@ def _solve_qmkp_dynamic(
     at most the probe in flight of the step it landed in, and the
     resumed run replays the finished steps bit-identically.  The
     ``answer`` carries only crash-stable fields (sizes, vertices, cost
-    totals); volatile resume/reuse counters ride in ``extra``.
+    totals); the volatile resume counter rides in ``extra``.
     """
     from ..dynamic import IncrementalSolver, apply_labelled_edit, read_edits
 
@@ -147,7 +128,6 @@ def _solve_qmkp_dynamic(
         graph,
         spec.k,
         seed=spec.seed if spec.seed is not None else 0,
-        cache=cache,
         tracer=tracer,
         checkpoint_dir=checkpoint.parent / (checkpoint.name + ".d"),
     )
@@ -155,17 +135,15 @@ def _solve_qmkp_dynamic(
     steps: list[dict[str, object]] = []
     totals = {"gate_units": 0, "oracle_calls": 0, "qtkp_calls": 0}
     resumed = 0
-    reused = 0
 
     def run_step() -> None:
-        nonlocal resumed, reused
+        nonlocal resumed
         step = session.resolve()
         result = step.result
         totals["gate_units"] += result.gate_units
         totals["oracle_calls"] += result.oracle_calls
         totals["qtkp_calls"] += result.qtkp_calls
         resumed += step.resumed_probes
-        reused += step.reused_partitions
         vertices = _translate(step.subset, labels)
         _emit({
             "event": "incumbent",
@@ -203,7 +181,7 @@ def _solve_qmkp_dynamic(
         "steps": steps,
         "degraded_to": None,
     }
-    extra = {"resumed_probes": resumed, "reused_partitions": reused}
+    extra = {"resumed_probes": resumed}
     return answer, extra
 
 
@@ -264,7 +242,6 @@ def execute(job: dict[str, object]) -> tuple[int, str]:
     spec = JobSpec.from_dict(dict(job["spec"]))
     checkpoint = Path(str(job["checkpoint"]))
     receipt = Path(str(job["receipt"]))
-    shared_dir = job.get("shared_cache_dir")
 
     tracer = Tracer()
     try:
@@ -282,16 +259,13 @@ def execute(job: dict[str, object]) -> tuple[int, str]:
         if hold_s:  # chaos/test hook: pin the job in the running state
             time.sleep(hold_s)
         graph, labels = read_edge_list(spec.graph_path)
-        cache = None
         if spec.solver == "qmkp" and spec.edits_path is not None:
-            cache = _job_cache(shared_dir)
             answer, extra = _solve_qmkp_dynamic(
-                spec, graph, labels, job_id, checkpoint, tracer, cache
+                spec, graph, labels, job_id, checkpoint, tracer
             )
         elif spec.solver == "qmkp":
-            cache = _job_cache(shared_dir)
             answer, extra = _solve_qmkp(
-                spec, graph, labels, job_id, checkpoint, tracer, cache
+                spec, graph, labels, job_id, checkpoint, tracer
             )
         elif spec.solver == "bs":
             answer, extra = _solve_bs(spec, graph, labels, job_id, tracer)
@@ -307,11 +281,6 @@ def execute(job: dict[str, object]) -> tuple[int, str]:
         })
         return 130, ""
 
-    # Cache counters ride along only when the fleet tier is on: with it
-    # off, result events, event journals, and receipts stay byte-identical
-    # to a service that predates the shared store.
-    if cache is not None and cache.shared is not None:
-        extra = {**extra, "cache": cache.stats()}
     ledger = RunLedger.from_tracer(
         tracer,
         meta={"job_id": job_id, "spec": spec.as_dict()},

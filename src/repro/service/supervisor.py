@@ -75,10 +75,6 @@ class Supervisor:
             else tempfile.mkdtemp(prefix="repro-service-")
         )
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.shared_cache_dir: Path | None = None
-        if self.config.shared_cache_dir is not None:
-            self.shared_cache_dir = Path(self.config.shared_cache_dir)
-            self.shared_cache_dir.mkdir(parents=True, exist_ok=True)
         self.tracer = tracer or Tracer()
         self.queue = JobQueue(self.config.queue_capacity)
         self.tenants = TenantPools(self.config.tenant_budgets)
@@ -255,29 +251,6 @@ class Supervisor:
             "service_queue_depth", help="jobs queued (both lanes)"
         ).set(self.queue.depth)
 
-    def record_cache_stats(self, stats: dict) -> None:
-        """Fold one finished worker's `MarkedSetCache.stats()` into
-        fleet-level ``service_cache_*`` gauges.
-
-        Each job's cache, and its counters, live only as long as the
-        job in the runner child; this is the only place they outlive
-        it, so shared-tier effectiveness is observable on
-        ``/v1/metrics``.  Gauges (not counters) on purpose: the
-        ledger's registry cross-check covers counters only, and these
-        totals aggregate *other* processes' ledgers — they must not be
-        claimed against this tracer's spans.
-        """
-        for key in (
-            "hits", "misses", "patches", "reused_partitions",
-            "shared_hits", "shared_misses", "shared_publishes",
-        ):
-            if key in stats:
-                self.tracer.registry.gauge(
-                    f"service_cache_{key}",
-                    help="fleet aggregate of per-worker MarkedSetCache "
-                    f"{key} (summed over finished jobs)",
-                ).inc(float(stats[key]))
-
     async def on_exit(self, job: Job, returncode: int, stderr: str) -> None:
         """Apply the exit policy for one finished job.
 
@@ -291,8 +264,6 @@ class Supervisor:
             self.tenants.charge(
                 job.spec.tenant, float(answer.get("gate_units", 0) or 0)
             )
-            if job.result.get("cache"):
-                self.record_cache_stats(job.result["cache"])
             if job.result.get("resumed_probes"):
                 self.tracer.add(
                     "service_probes_resumed", int(job.result["resumed_probes"])

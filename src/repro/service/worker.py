@@ -27,7 +27,6 @@ from pathlib import Path
 
 import repro
 
-from ..perf.shared import PUBLISH_KILL_ENV
 from ..resilience.checkpoint import CRASH_ENV, SIGINT_ENV
 from .chaos import HOLD_ENV
 from .jobs import IncumbentEvent, Job
@@ -43,7 +42,7 @@ _STDERR_TAIL = 1 << 13
 
 #: Chaos hooks travel in each job record; inherited from the service's
 #: environment they would fire in every job the child runs.
-_HOOK_ENVS = (CRASH_ENV, SIGINT_ENV, PUBLISH_KILL_ENV, HOLD_ENV)
+_HOOK_ENVS = (CRASH_ENV, SIGINT_ENV, HOLD_ENV)
 
 
 class Worker:
@@ -160,15 +159,12 @@ class Worker:
 
     def _record(self, job: Job) -> bytes:
         """The job as one stdin line, per-job policy included."""
-        sup = self.supervisor
-        shared = sup.shared_cache_dir
-        chaos = sup.chaos
+        chaos = self.supervisor.chaos
         return (json.dumps({
             "job_id": job.job_id,
             "spec": {**job.spec.as_dict(), "solver": job.solver},
             "checkpoint": str(job.checkpoint_path),
             "receipt": str(job.receipt_path),
-            "shared_cache_dir": str(shared) if shared is not None else None,
             "env": chaos.env_for(job.spec.name, job.resumes) if chaos else {},
         }, sort_keys=True) + "\n").encode("utf-8")
 

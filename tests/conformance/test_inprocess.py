@@ -1,9 +1,8 @@
 """In-process qMKP: every kernel tier under every cache mode.
 
-Cache off re-scans per probe; the LRU shares one table across probes;
-the shared tier publishes to a :class:`SharedTableStore` on the first
-solve and attaches from it on the second.  All of them must give the
-in-process default's answer, byte for byte in its cost accounting.
+Cache off re-scans per probe; the LRU shares one table across probes.
+Both must give the in-process default's answer, byte for byte in its
+cost accounting.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import qmkp
-from repro.perf import MarkedSetCache, SharedTableStore
+from repro.perf import MarkedSetCache
 from repro.perf.kernels import available_backends
 
 from .corpus import BOUNDED_ERROR_MISSES, certify, check_qmkp, graphs
@@ -54,19 +53,6 @@ class TestTiers:
     @_pin_misses
     def test_lru_cache(self, kernel, graph, k, seed):
         _solve(graph, k, seed, cache=MarkedSetCache(kernel=kernel))
-
-    @SETTINGS
-    @given(graph=graphs(), k=KS, seed=SEEDS)
-    @_pin_misses
-    def test_shared_store(self, kernel, tmp_path, graph, k, seed):
-        store = SharedTableStore(tmp_path / "store")
-        publisher = MarkedSetCache(kernel=kernel, shared=store)
-        _solve(graph, k, seed, cache=publisher)
-        attacher = MarkedSetCache(kernel=kernel, shared=store)
-        _solve(graph, k, seed, cache=attacher)
-        stats = attacher.stats()  # every table came from the store
-        assert stats["shared_misses"] == 0
-        assert stats["shared_hits"] == stats["misses"]
 
 
 class TestCertify:

@@ -10,14 +10,11 @@ step's own seed, and the session ledger's reuse claims reconcile.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.core import qmkp
 from repro.dynamic import DynamicGraph, Edit, IncrementalSolver, surviving_kplex
 from repro.graphs import Graph
 from repro.kplex import is_kplex, maximum_kplex
 from repro.obs import Tracer
-from repro.perf import kplex_masks
 
 
 @st.composite
@@ -73,23 +70,11 @@ class TestExactEquivalence:
             assert step.result.oracle_calls == cold.oracle_calls
             assert step.result.gate_units == cold.gate_units
             assert step.result.progression == cold.progression
-        assert session.cache.stats()["misses"] == 1
+        # One enumeration per structure the stream visits.
+        assert session.cache.stats()["misses"] == len(
+            {s.fingerprint for s in session.history}
+        )
         session.ledger().verify()
-
-    @given(data=st.data(), k=st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_patched_tables_match_fresh_sweeps(self, data, k):
-        graph = data.draw(graphs())
-        edits = data.draw(edit_streams(graph))
-        session = IncrementalSolver(graph, k, seed=0)
-        session.resolve()
-        session.apply_edits(edits)
-        session.resolve()
-        table = session.cache.table(session.graph.snapshot(), k)
-        want, _ = kplex_masks(session.graph.snapshot(), k)
-        got, _ = table.ascending()
-        assert np.array_equal(got, want)
-        assert session.cache.stats()["misses"] == 1
 
 
 class TestWarmEquivalence:
@@ -131,7 +116,7 @@ class TestSurvivingKplex:
 
 
 class TestBatchFusion:
-    """Fused all-insertion batches keep every exact-profile guarantee."""
+    """All-insertion batches keep every exact-profile guarantee."""
 
     @st.composite
     @staticmethod
@@ -174,37 +159,6 @@ class TestBatchFusion:
         assert step.result.oracle_calls == cold.oracle_calls
         assert step.result.gate_units == cold.gate_units
         assert step.result.progression == cold.progression
-        stats = session.cache.stats()
-        assert stats["misses"] == 1  # the batch never re-swept from cold
-        assert stats["patches"] == 1  # ...and fused into a single patch
+        # One enumeration for the whole batch, none per edit.
+        assert session.cache.stats()["misses"] == 2
         session.ledger().verify()
-
-    @given(data=st.data(), k=st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_fused_equals_sequential_patching(self, data, k):
-        from repro.perf import MarkedSetCache
-
-        graph = data.draw(graphs(min_n=4))
-        n = graph.num_vertices
-        if len(graph.edges) > n * (n - 1) // 2 - 2:
-            return
-        batch = data.draw(self._insert_batches(graph))
-        fused_cache = MarkedSetCache()
-        seq_cache = MarkedSetCache()
-        fused_cache.table(graph, k)
-        seq_cache.table(graph, k)
-        dg = DynamicGraph(graph)
-        snapshots = [graph]
-        for u, v in batch:
-            dg.add_edge(u, v)
-            snapshots.append(dg.snapshot())
-        fused = fused_cache.patch_batch(graph, snapshots[-1], k, batch)
-        for i, (u, v) in enumerate(batch):
-            seq = seq_cache.patch(
-                snapshots[i], snapshots[i + 1], k, "add_edge", u, v
-            )
-        assert np.array_equal(fused._by_size, seq._by_size)
-        assert np.array_equal(fused._offsets, seq._offsets)
-        assert fused._by_size.dtype == seq._by_size.dtype
-        assert fused_cache.stats()["patches"] == 1
-        assert seq_cache.stats()["patches"] == len(batch)

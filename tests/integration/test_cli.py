@@ -48,14 +48,17 @@ class TestSolve:
         assert capsys.readouterr().out == uncached
 
     def test_qmkp_workers(self, graph_file, capsys):
-        assert main([
-            "solve", graph_file, "--solver", "qmkp", "--seed", "3", "--workers", "2",
-        ]) == 0
-        assert "size: 4" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "solve", graph_file, "--solver", "qmkp", "--seed", "3",
+                "--workers", "2",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    def test_workers_requires_qmkp(self, graph_file, capsys):
-        assert main(["solve", graph_file, "--workers", "2"]) == 2
-        assert "--workers" in capsys.readouterr().err
+    def test_no_cache_requires_qmkp(self, graph_file, capsys):
+        assert main(["solve", graph_file, "--no-cache"]) == 2
+        assert "--no-cache requires --solver qmkp" in capsys.readouterr().err
 
     def test_qamkp_sa(self, graph_file, capsys):
         code = main([

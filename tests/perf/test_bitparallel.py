@@ -1,4 +1,4 @@
-"""The bit-parallel enumerator IS the oracle predicate, vectorized.
+"""The level-sweep enumerator IS the oracle predicate, vectorized.
 
 Property tests tying :mod:`repro.perf.bitparallel` to the library's two
 classical ground truths: ``KCplexOracle.predicate`` (direct graph
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.oracle import KCplexOracle
 from repro.graphs import Graph, gnm_random_graph
-from repro.perf import MAX_VERTICES, kcplex_masks, kplex_masks, popcount_u64
+from repro.perf import MAX_VERTICES, kplex_levels, kplex_masks, popcount_u64
+
+from .sweep_reference import sweep_masks
 
 
 @st.composite
@@ -72,29 +74,30 @@ class TestEnumeratorAgreement:
     def test_kcplex_is_kplex_of_complement(self):
         graph = gnm_random_graph(7, 12, seed=2)
         for k in (1, 2, 3):
-            direct, _ = kcplex_masks(graph, k)
+            direct, _ = sweep_masks(graph.adjacency_masks(), k - 1)
             via_complement, _ = kplex_masks(graph.complement(), k)
             assert np.array_equal(direct, via_complement)
 
+    def test_levels_are_the_size_classes(self):
+        graph = gnm_random_graph(9, 20, seed=3)
+        masks, sizes = kplex_masks(graph, 2)
+        by_size, offsets = kplex_levels(graph, 2)
+        for s in range(graph.num_vertices + 1):
+            level = by_size[offsets[s]:offsets[s + 1]]
+            assert level.tolist() == masks[sizes == s].tolist()
 
-class TestChunkingAndWorkers:
-    def test_chunk_size_invariance(self):
+
+class TestScanCounter:
+    def test_counts_the_children_tested(self):
+        from repro.obs import Tracer
+
         graph = gnm_random_graph(8, 14, seed=5)
-        reference, ref_sizes = kplex_masks(graph, 2)
-        for chunk in (1, 7, 64, 1 << 8):
-            masks, sizes = kplex_masks(graph, 2, chunk_masks=chunk)
-            assert np.array_equal(masks, reference)
-            assert np.array_equal(sizes, ref_sizes)
-
-    def test_workers_invariance(self):
-        graph = gnm_random_graph(9, 18, seed=6)
-        reference, _ = kplex_masks(graph, 2)
-        masks, _ = kplex_masks(graph, 2, chunk_masks=1 << 6, workers=2)
-        assert np.array_equal(masks, reference)
-
-    def test_bad_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            kplex_masks(gnm_random_graph(4, 3, seed=0), 2, chunk_masks=0)
+        tracer = Tracer()
+        by_size, _ = kplex_levels(graph, 2, tracer=tracer)
+        # Each member extends by every vertex above its top bit.
+        n = graph.num_vertices
+        want = sum(n - int(m).bit_length() for m in by_size.tolist())
+        assert tracer.registry.counter("perf_masks_scanned").value == want
 
 
 class TestGuards:
@@ -103,6 +106,7 @@ class TestGuards:
             kplex_masks(gnm_random_graph(4, 3, seed=0), 0)
 
     def test_width_ceiling(self):
+        assert MAX_VERTICES == 26
         with pytest.raises(ValueError):
             kplex_masks(Graph(MAX_VERTICES + 1), 2)
 

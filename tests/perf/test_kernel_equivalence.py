@@ -2,12 +2,13 @@
 
 The contract that makes ``--kernel`` safe to flip in production: both
 backends — the NumPy reference and the C extension — produce the *same
-bytes* for the three hot loops (bit-parallel mask enumeration, CSR
+bytes* for the three hot loops (level-by-level k-plex enumeration, CSR
 Metropolis sweep, batched tabu descent), for any input, any chunking,
-and any replica batch shape.  Hypothesis draws half-integer
-coefficients, for which every float64 field/energy is exact regardless
-of summation order, so "byte-identical" is deterministic here, not
-probabilistic.
+and any replica batch shape.  The enumeration is further held to the
+``2^n`` mask sweep it replaced (``sweep_reference``).  Hypothesis
+draws half-integer coefficients, for which every float64 field/energy
+is exact regardless of summation order, so "byte-identical" is
+deterministic here, not probabilistic.
 
 A backend that cannot construct in this environment (no C compiler) is
 skip-marked, never failed: the tier is an accelerator, not a
@@ -20,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing import BinaryQuadraticModel, SimulatedAnnealingSampler
-from repro.graphs import Graph
+from repro.graphs import Graph, gnm_random_graph
+from repro.perf import MarkedSetCache, kernels
 from repro.perf.anneal import SweepPlan, build_sweep_plan, sa_sweep, tabu_descend
 from repro.perf.bitparallel import kplex_masks
-from repro.perf import kernels
 from repro.perf.kernels import (
     KERNEL_NAMES,
     KernelUnavailable,
@@ -32,6 +33,8 @@ from repro.perf.kernels import (
     pack_sweep_plan,
     resolve,
 )
+
+from .sweep_reference import sweep_kplex_masks, sweep_table
 
 AVAILABLE = available_backends()
 
@@ -60,6 +63,24 @@ def graphs(draw, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def marked_instances(draw, max_n=16):
+    """An empty, complete or random graph on 1..max_n vertices, with k
+    anywhere in 1..n + 1."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shape = draw(st.sampled_from(["empty", "complete", "random"]))
+    if shape == "empty":
+        edges = []
+    elif shape == "complete":
+        edges = pairs
+    else:
+        density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = [p for p in pairs if rng.random() < density]
+    return Graph(n, edges), draw(st.integers(min_value=1, max_value=n + 1))
 
 
 @st.composite
@@ -98,24 +119,37 @@ def test_kplex_masks_byte_identical(backend, graph, k):
     assert got_sizes.tobytes() == ref_sizes.tobytes()
 
 
+def _same_table(a, b) -> bool:
+    return (
+        a.num_vertices == b.num_vertices
+        and a._by_size.dtype == b._by_size.dtype
+        and a._by_size.tobytes() == b._by_size.tobytes()
+        and a._offsets.dtype == b._offsets.dtype
+        and a._offsets.tobytes() == b._offsets.tobytes()
+    )
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_kplex_masks_chunk_size_invariant(backend):
-    rng = np.random.default_rng(11)
-    n = 10
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-    ]
-    graph = Graph(n, edges)
-    reference = None
-    for chunk in (8, 64, 256, 1 << n):
-        masks, sizes = kplex_masks(
-            graph, 2, chunk_masks=chunk, kernel=backend
-        )
-        outcome = (masks.tobytes(), sizes.tobytes())
-        if reference is None:
-            reference = outcome
-        else:
-            assert outcome == reference
+@settings(max_examples=60, deadline=None)
+@given(instance=marked_instances())
+def test_level_sweep_matches_the_mask_sweep(backend, instance):
+    graph, k = instance
+    ref_masks, ref_sizes = sweep_kplex_masks(graph, k)
+    masks, sizes = kplex_masks(graph, k, kernel=backend)
+    assert masks.dtype == ref_masks.dtype and sizes.dtype == ref_sizes.dtype
+    assert masks.tobytes() == ref_masks.tobytes()
+    assert sizes.tobytes() == ref_sizes.tobytes()
+    table = MarkedSetCache(kernel=backend).table(graph, k)
+    assert _same_table(table, sweep_table(graph, k))
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("n", range(20, 27))
+def test_tiers_agree_on_wide_sparse_graphs(backend, n):
+    graph = gnm_random_graph(n, 6 * n, seed=3)
+    ref = MarkedSetCache(kernel="numpy").table(graph, 2)
+    got = MarkedSetCache(kernel=backend).table(graph, 2)
+    assert _same_table(got, ref)
 
 
 # ----------------------------------------------------------------------

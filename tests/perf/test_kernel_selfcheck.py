@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``kernel.output`` names of the single outputs the perturbed backends
 #: get wrong.
 PERTURBED_OUTPUTS = (
-    "enumerate_chunk.sizes",
+    "enumerate_levels.counts",
     "sa_sweep.flips",
     "sa_sweep.spins",
     "tabu_descend.trail",
@@ -52,12 +52,12 @@ class Perturbed(ScipyFreeReference):
         self.name = output
         self.output = output
 
-    def enumerate_chunk(self, adj_masks, limit, start, stop):
-        masks, sizes = super().enumerate_chunk(adj_masks, limit, start, stop)
-        if self.output == "enumerate_chunk.sizes" and limit == 2:
-            sizes = sizes.copy()
-            sizes[-1] += 1
-        return masks, sizes
+    def enumerate_levels(self, adj_masks, limit):
+        by_size, counts, candidates = super().enumerate_levels(adj_masks, limit)
+        if self.output == "enumerate_levels.counts" and limit == 2:
+            counts = counts.copy()
+            counts[-1] += 1
+        return by_size, counts, candidates
 
     def sa_sweep(self, plan, spins_t, beta, uniforms):
         flips = super().sa_sweep(plan, spins_t, beta, uniforms)

@@ -52,10 +52,7 @@ class TestMarkedSetCache:
         graph = gnm_random_graph(7, 12, seed=2)
         for threshold in range(5):
             cache.marked(graph, 2, threshold)
-        assert cache.stats() == {
-            "hits": 4, "misses": 1, "patches": 0,
-            "reused_partitions": 0, "entries": 1,
-        }
+        assert cache.stats() == {"hits": 4, "misses": 1, "entries": 1}
         cache.marked(graph, 3, 1)
         assert cache.stats()["misses"] == 2
 
@@ -83,10 +80,7 @@ class TestMarkedSetCache:
         a = cache.table(first, 2)
         b = cache.table(rebuilt, 2)
         assert b is a
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "patches": 0,
-            "reused_partitions": 0, "entries": 1,
-        }
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_mutated_graph_does_not_serve_stale_table(self):
         # Regression: keying on the graph object let a graph whose
@@ -156,8 +150,8 @@ class TestQmkpEquivalence:
 
 class TestOracleCostMemo:
     """qTKP prices every probe's oracle from the complement's degree
-    sequence: a cached probe builds no circuit, the uncached seed path
-    builds one per probe for its predicate."""
+    sequence and marks without a circuit: no probe builds one, cached
+    or not."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -194,11 +188,17 @@ class TestOracleCostMemo:
         uncached = qmkp(graph, 2, rng=np.random.default_rng(0), use_cache=False)
         assert first.gate_units == uncached.gate_units
 
-    def test_uncached_run_builds_every_probe(self, builds):
-        """The seed path still marks through the built oracle's predicate."""
+    def test_uncached_run_builds_no_oracle(self, builds):
+        """The seed path marks through the predicate function alone."""
         graph = gnm_random_graph(9, 20, seed=1)
         result = qmkp(graph, 2, rng=np.random.default_rng(0), use_cache=False)
-        assert len(builds) == result.qtkp_calls
+        assert result.qtkp_calls > 1
+        assert builds == []
+        cached = qmkp(graph, 2, rng=np.random.default_rng(0))
+        assert [p.num_marked for p in result.probes] == [
+            p.num_marked for p in cached.probes
+        ]
+        assert result.subset == cached.subset
 
 
 class TestSubsetSearchCache:

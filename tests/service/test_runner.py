@@ -71,7 +71,6 @@ class Runner:
             "spec": spec,
             "checkpoint": str(self.tmp_path / f"{job_id}.wal"),
             "receipt": str(self.tmp_path / f"{job_id}.receipt.json"),
-            "shared_cache_dir": policy.get("shared_cache_dir"),
             "env": policy.get("env", {}),
         }) + "\n")
         self.proc.stdin.flush()
