@@ -6,8 +6,10 @@ One gated block, emitted as ``BENCH_qmkp_dynamic_n<n>_k<k>.json``:
   run over a deterministic single-edge edit stream (``--solve-n``
   vertices, ``--solve-edits`` edits), gated on every step being
   byte-identical to a cold :func:`repro.core.qmkp` of the post-edit
-  graph with the step's own seed, and on the session ledger
-  reconciling.  Wall-clock for both arms is recorded for context, not
+  graph with the step's own seed.  Both timed arms run untraced; the
+  ledger check runs on a second, traced session with the same seed,
+  gated on reconciling and on its step records equalling the timed
+  session's.  Wall-clock for both arms is recorded for context, not
   gated: each step's marked sets take one level sweep in both arms,
   and the Grover probes are identical by construction.
 
@@ -57,6 +59,27 @@ def _edit_stream(graph, count: int, seed: int):
     return stream
 
 
+def _run_session(graph, stream, args, tracer=None):
+    """One incremental session over ``stream``, and its wall time."""
+    session = IncrementalSolver(
+        graph, args.k, seed=args.rng_seed, kernel=args.kernel, tracer=tracer
+    )
+    start = time.perf_counter()
+    session.resolve()
+    for op, u, v in stream:
+        getattr(session, op)(u, v)
+        session.resolve()
+    return session, time.perf_counter() - start
+
+
+def _step_records(session) -> list[tuple]:
+    """What a session step answered, without its timing."""
+    return [
+        (s, s.result.oracle_calls, s.result.gate_units, s.result.progression)
+        for s in session.history
+    ]
+
+
 def session_block(args) -> tuple[dict, list[str]]:
     """End-to-end incremental session vs per-step cold solves."""
     failures: list[str] = []
@@ -69,16 +92,8 @@ def session_block(args) -> tuple[dict, list[str]]:
     # self-check) that would otherwise land on whichever arm runs first.
     qmkp(graph, args.k, rng=np.random.default_rng(0),
          cache=MarkedSetCache(kernel=args.kernel))
-    tracer = Tracer()
-    session = IncrementalSolver(
-        graph, args.k, seed=args.rng_seed, kernel=args.kernel, tracer=tracer
-    )
-    start = time.perf_counter()
-    session.resolve()
-    for op, u, v in stream:
-        getattr(session, op)(u, v)
-        session.resolve()
-    incremental_s = time.perf_counter() - start
+    # The cold arm runs untraced, so the timed session does too.
+    session, incremental_s = _run_session(graph, stream, args)
 
     dg = DynamicGraph(graph)
     cold_s = 0.0
@@ -105,7 +120,12 @@ def session_block(args) -> tuple[dict, list[str]]:
                 f"step {step_result.step} diverged from its cold solve"
             )
 
-    drift = session.ledger().verify(raise_on_drift=False)
+    # The ledger check: a traced twin of the timed session must answer
+    # every step alike and reconcile.
+    traced, _ = _run_session(graph, stream, args, tracer=Tracer())
+    if _step_records(traced) != _step_records(session):
+        failures.append("the traced session diverged from the untraced one")
+    drift = traced.ledger().verify(raise_on_drift=False)
     for record in drift:
         failures.append(f"ledger drift: {record}")
     block = {

@@ -147,14 +147,15 @@ class BinaryQuadraticModel:
     def energies(self, states: np.ndarray, order: list[Variable] | None = None) -> np.ndarray:
         """Vectorised energies for a ``(num_samples, num_vars)`` 0/1 array.
 
-        The default (insertion-order) layout reuses the cached CSR
-        arrays — one ``states @ h`` plus one gather-multiply over the
-        coupling pairs.  A caller-supplied permuted ``order`` falls back
-        to the per-term path.
+        The default (insertion-order) layout hands the rows, uncast, to
+        the cached CSR arrays' blocked evaluation
+        (:meth:`~repro.perf.anneal.CSRQuadratic.energies`).  A
+        caller-supplied permuted ``order`` falls back to the per-term
+        path.
         """
-        states = np.asarray(states, dtype=float)
         if order is None or list(order) == self.variables:
             return self.to_csr().energies(states, self.offset)
+        states = np.asarray(states, dtype=float)
         index = {v: i for i, v in enumerate(order)}
         h = np.zeros(len(order))
         for v, bias in self.linear.items():

@@ -117,9 +117,11 @@ def find_embedding(
     """
     rng = random.Random(seed)
     last_error: EmbeddingError | None = None
+    # Every try starts from the same degree order and neighbour lists.
+    order, neighbours = _greedy_setup(variables, logical_edges)
     for attempt in range(max_tries):
         try:
-            chains = _try_embed(list(variables), list(logical_edges), hardware, rng)
+            chains = _grow_chains(list(order), neighbours, hardware, rng)
         except EmbeddingError as exc:
             last_error = exc
             continue
@@ -128,15 +130,16 @@ def find_embedding(
         return emb
     # Congestion-based router (the minorminer-style heuristic).  Dense
     # near-clique problems rarely beat the clique template and make the
-    # router grind, so it only runs when the logical graph is sparse
-    # enough (or small enough) to profit.
-    from .embedding_cm import find_embedding_cm
-
+    # router grind, so it only runs (and its SciPy graph routines only
+    # load) when the logical graph is sparse enough (or small enough)
+    # to profit.
     sparse_enough = (
         len(variables) <= 60
         or len(logical_edges) <= 6 * max(1, len(variables))
     )
     if sparse_enough:
+        from .embedding_cm import find_embedding_cm
+
         try:
             return find_embedding_cm(
                 variables, logical_edges, hardware, seed=seed, max_tries=2
@@ -179,16 +182,37 @@ def clique_embedding(
             f"{n_vars} variables need a C{m_needed} subgrid; hardware is C{m_hw}"
         )
 
-    def qid(row: int, col: int, side: int, index: int) -> int:
-        return ((row * m_hw + col) * 2 + side) * t + index
-
+    # Qubit ((row * m_hw + col) * 2 + side) * t + index.  Down column
+    # ``block`` (side 0) the ids step by a grid row; along row ``block``
+    # (side 1) by a cell.  The vertical run ends in cell (block, block)
+    # just below where the horizontal run starts, so the chain is the
+    # two ascending runs back to back: sorted, without duplicates.
+    row_step, cell_step = 2 * m_hw * t, 2 * t
     chains: dict[Variable, tuple[int, ...]] = {}
     for i, var in enumerate(variables):
         block, offset = divmod(i, t)
-        vertical = [qid(r, block, 0, offset) for r in range(block + 1)]
-        horizontal = [qid(block, c, 1, offset) for c in range(block, m_needed)]
-        chains[var] = tuple(sorted(set(vertical + horizontal)))
+        top = block * cell_step + offset
+        corner = block * row_step + top + t
+        chains[var] = (
+            *range(top, top + (block + 1) * row_step, row_step),
+            *range(corner, corner + (m_needed - block) * cell_step, cell_step),
+        )
     return Embedding(chains, hardware)
+
+
+def _greedy_setup(
+    variables: Sequence[Variable],
+    logical_edges: Sequence[tuple[Variable, Variable]],
+) -> tuple[list[Variable], dict[Variable, list[Variable]]]:
+    """Greedy placement order (interaction degree descending, then
+    ``str``) and each variable's neighbours in ``str`` order — the same
+    for every try, so :func:`find_embedding` builds them once."""
+    neighbours: dict[Variable, set[Variable]] = {v: set() for v in variables}
+    for u, v in logical_edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    order = sorted(variables, key=lambda v: (-len(neighbours[v]), str(v)))
+    return order, {v: sorted(ws, key=str) for v, ws in neighbours.items()}
 
 
 def _try_embed(
@@ -197,11 +221,21 @@ def _try_embed(
     hardware: HardwareGraph,
     rng: random.Random,
 ) -> dict[Variable, set[int]]:
-    neighbours: dict[Variable, set[Variable]] = {v: set() for v in variables}
-    for u, v in logical_edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    order = sorted(variables, key=lambda v: (-len(neighbours[v]), str(v)))
+    """One greedy try from scratch: :func:`_greedy_setup`, then
+    :func:`_grow_chains`."""
+    order, neighbours = _greedy_setup(variables, logical_edges)
+    return _grow_chains(order, neighbours, hardware, rng)
+
+
+def _grow_chains(
+    order: list[Variable],
+    neighbours: dict[Variable, list[Variable]],
+    hardware: HardwareGraph,
+    rng: random.Random,
+) -> dict[Variable, set[int]]:
+    """Place the variables of ``order`` (perturbed in place) one chain
+    at a time; raises :class:`EmbeddingError` when a chain is walled in
+    or cannot reach a placed neighbour."""
     # Small random perturbation so restarts explore different layouts.
     if rng.random() < 0.5 and len(order) > 2:
         i, jdx = rng.randrange(len(order)), rng.randrange(len(order))
@@ -210,7 +244,7 @@ def _try_embed(
     chains: dict[Variable, set[int]] = {}
     used: set[int] = set()
     for var in order:
-        placed = [w for w in sorted(neighbours[var], key=str) if w in chains]
+        placed = [w for w in neighbours[var] if w in chains]
         placed.sort(key=lambda w: len(chains[w]))
         if not placed:
             root = _seed_qubit(hardware, used, rng)

@@ -25,10 +25,10 @@ from ..obs import NULL_TRACER
 from ..perf.anneal import (
     fields_energies,
     fields_energies_t,
-    refresh_fields_t,
     sa_shard_reads,
     sa_sweep,
 )
+from ..perf.kernels import resolve
 from .bqm import BinaryQuadraticModel
 from .sampleset import SampleSet
 
@@ -129,7 +129,6 @@ class SimulatedAnnealingSampler:
             else self._schedule(csr, num_sweeps)
         )
         row_sums = csr.row_sums
-        spmat = csr.spmatrix
         with tracer.span(
             "anneal.sa", num_reads=num_reads, num_sweeps=num_sweeps, num_variables=n
         ) as span:
@@ -149,6 +148,7 @@ class SimulatedAnnealingSampler:
                 tracer.add("anneal_sweeps", num_sweeps)
                 tracer.add("anneal_flips", total_flips)
             else:
+                backend = resolve(kernel)
                 plan = csr.sweep_plan
                 spins_t = np.ascontiguousarray(init.T, dtype=np.float64)
                 spins_t *= -2.0
@@ -158,7 +158,7 @@ class SimulatedAnnealingSampler:
                     with tracer.span("anneal.sweep", sweep=t):
                         uniforms = rng.random((n, num_reads))
                         flips = sa_sweep(
-                            plan, spins_t, float(beta), uniforms, kernel=kernel
+                            plan, spins_t, float(beta), uniforms, kernel=backend
                         )
                         tracer.add("anneal_sweeps", 1)
                         tracer.add("anneal_flips", flips)
@@ -166,9 +166,8 @@ class SimulatedAnnealingSampler:
                 # The sweep's chunk-local fields are transient; energies
                 # want full fields, priced in the transposed layout
                 # directly — no batch transposes.
-                fields_t = refresh_fields_t(
-                    csr.h, csr.indptr, csr.indices, csr.data, row_sums,
-                    spins_t, spmat,
+                fields_t = backend.refresh_fields(
+                    csr.h, csr.indptr, csr.indices, csr.data, row_sums, spins_t
                 )
                 states = spins_t.T.astype(np.int8, order="C")
                 np.subtract(1, states, out=states)

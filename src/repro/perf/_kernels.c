@@ -1,17 +1,19 @@
 /* Compiled kernels behind repro.perf.kernels' "cext" backend.
  *
- * Three hot loops, each a transcription of the NumPy reference in
+ * The hot loops, each a transcription of the NumPy reference in
  * repro/perf/bitparallel.py and repro/perf/anneal.py so the produced
  * decisions are identical:
  *
  *   - enumerate_levels: the level-by-level k-cplex mask enumeration.
  *     Pure integer arithmetic, bit-for-bit equal to the reference.
- *   - sa_sweep_chunk:  one chunk of the Gauss-Seidel Metropolis sweep —
+ *   - sa_sweep_plan: the Gauss-Seidel Metropolis sweep, chunk by chunk —
  *     bulk field build (same nnz accumulation order as SciPy's
  *     csr @ dense product) + intra-chunk forward scatter.  Float ops
  *     replay the reference's exact sequence; the only divergence window
  *     is libm's exp() vs NumPy's (<= 1 ulp), which can flip an
  *     acceptance only when a uniform draw lands in that 2^-52 gap.
+ *   - refresh_fields: the same bulk field build over the whole batch
+ *     (the sampler's final fields), bit-for-bit equal to SciPy's.
  *   - tabu_descend: the batched single-flip tabu loop.  First-minimum
  *     argmin tie-break, 1e-12 aspiration slack, identical float
  *     evaluation order — exactly reproducible (no transcendentals).
@@ -55,9 +57,10 @@ static int LOWBIT64(uint64_t x) {
  * member u of p with v in adj[u], so only those are re-counted.
  *
  * adj holds one mask per vertex (n <= 64).  Returns a malloc'd array
- * of all members, level after level (free it with release_levels), or
- * NULL when memory runs out.  counts (n + 1 entries) receives each
- * level's size, *candidates the number of children tested. */
+ * of all members, level after level, shrunk to fit (free it with
+ * release_levels), or NULL when memory runs out.  counts (n + 1
+ * entries) receives each level's size, *candidates the number of
+ * children tested. */
 int64_t *enumerate_levels(
     const uint64_t *adj, int64_t n, int64_t limit,
     int64_t *counts, int64_t *candidates)
@@ -106,7 +109,10 @@ int64_t *enumerate_levels(
         hi = total;
     }
     *candidates = tested;
-    return out;
+    /* Hand back exactly total members: the caller wraps this buffer as
+     * the table's array, so the doubling slack would live as long. */
+    int64_t *fit = realloc(out, (size_t)total * sizeof(int64_t));
+    return fit != NULL ? fit : out;
 }
 
 void release_levels(int64_t *levels)
@@ -114,10 +120,48 @@ void release_levels(int64_t *levels)
     free(levels);
 }
 
+/* Bulk local fields of nc CSR rows over the transposed (n, reads) ±1
+ * batch: jt = J_rows @ spins_t accumulated per output cell in nnz
+ * order (SciPy's csr_matvecs order), then the reference's exact
+ * (rs - jt) * 0.5 + h op sequence.  The restrict qualifiers let the
+ * compiler vectorize the += over replicas (each r accumulates
+ * independently, so lane order never changes the float result). */
+static void bulk_fields(
+    int64_t reads, int64_t nc,
+    const int64_t *restrict indptr, const int64_t *restrict indices,
+    const double *restrict data,
+    const double *restrict h, const double *restrict rs,
+    const double *restrict spins_t, double *restrict fields)
+{
+    for (int64_t li = 0; li < nc; ++li) {
+        double *restrict frow = fields + li * reads;
+        for (int64_t r = 0; r < reads; ++r) frow[r] = 0.0;
+        for (int64_t jj = indptr[li]; jj < indptr[li + 1]; ++jj) {
+            const double a = data[jj];
+            const double *restrict srow = spins_t + indices[jj] * reads;
+            for (int64_t r = 0; r < reads; ++r) frow[r] += a * srow[r];
+        }
+        const double rsl = rs[li];
+        const double hl = h[li];
+        for (int64_t r = 0; r < reads; ++r)
+            frow[r] = (rsl - frow[r]) * 0.5 + hl;
+    }
+}
+
+/* The fields of the whole (n, reads) batch into fields (n * reads). */
+void refresh_fields(
+    int64_t reads, int64_t n,
+    const int64_t *indptr, const int64_t *indices, const double *data,
+    const double *h, const double *rs,
+    const double *spins_t, double *fields)
+{
+    bulk_fields(reads, n, indptr, indices, data, h, rs, spins_t, fields);
+}
+
 /* One chunk [start, end) of a Metropolis sweep over the transposed
  * (n, reads) ±1 replica matrix.  fields_scratch has room for
  * (end - start) * reads doubles.  Returns accepted flips. */
-int64_t sa_sweep_chunk(
+static int64_t sa_sweep_chunk(
     int64_t reads, int64_t start, int64_t end,
     const int64_t *restrict sub_indptr, const int64_t *restrict sub_indices,
     const double *restrict sub_data,
@@ -128,25 +172,8 @@ int64_t sa_sweep_chunk(
     double neg_beta, double *restrict fields_scratch)
 {
     int64_t nc = end - start;
-    /* Bulk field build: jt = J_block @ spins_t accumulated per output
-     * cell in nnz order (SciPy's csr_matvecs order), then the
-     * reference's exact (rs - jt) * 0.5 + h op sequence.  The restrict
-     * qualifiers let the compiler vectorize the += over replicas (each
-     * r accumulates independently, so lane order never changes the
-     * float result). */
-    for (int64_t li = 0; li < nc; ++li) {
-        double *restrict frow = fields_scratch + li * reads;
-        for (int64_t r = 0; r < reads; ++r) frow[r] = 0.0;
-        for (int64_t jj = sub_indptr[li]; jj < sub_indptr[li + 1]; ++jj) {
-            const double a = sub_data[jj];
-            const double *restrict srow = spins_t + sub_indices[jj] * reads;
-            for (int64_t r = 0; r < reads; ++r) frow[r] += a * srow[r];
-        }
-        const double rs = rs_c[li];
-        const double hh = h_c[li];
-        for (int64_t r = 0; r < reads; ++r)
-            frow[r] = (rs - frow[r]) * 0.5 + hh;
-    }
+    bulk_fields(reads, nc, sub_indptr, sub_indices, sub_data, h_c, rs_c,
+                spins_t, fields_scratch);
     int64_t flips = 0;
     for (int64_t li = 0; li < nc; ++li) {
         double *t = spins_t + (start + li) * reads;

@@ -80,6 +80,12 @@ def _no_csr(data, indices, indptr, shape) -> None:
     return None
 
 
+#: Rows per block in :meth:`CSRQuadratic.energies`.  Any block size
+#: gives the same bits; 64 rows keep a 1,700-pair model's buffers
+#: within about 1 MB.
+ENERGY_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class CSRQuadratic:
     """Sparse view of a binary quadratic model's coefficients.
@@ -169,41 +175,61 @@ class CSRQuadratic:
         return np.bincount(rows, weights=self.data, minlength=n)
 
     @cached_property
-    def spmatrix(self):
-        """SciPy CSR matrix of the symmetric couplings, or ``None``.
-
-        Built (and validated) once per model so per-sweep field
-        refreshes go straight to the compiled matmul.
-        """
-        if not self.data.size:
-            return None
-        n = self.num_variables
-        return _csr(self.data, self.indices, self.indptr, (n, n))
-
-    @cached_property
-    def sweep_plan(self) -> list:
+    def sweep_plan(self) -> "SweepPlan":
         """Cached :func:`build_sweep_plan` at the default chunk size."""
         return build_sweep_plan(
             self.h, self.indptr, self.indices, self.data, self.row_sums
         )
 
     def energies(self, states: np.ndarray, offset: float = 0.0) -> np.ndarray:
-        """Vectorised energies of a ``(num_samples, n)`` 0/1 matrix.
+        """Vectorised energies of a ``(num_samples, n)`` assignment matrix.
 
-        Row-independent reductions (``sum(axis=1)``, not BLAS matmul,
-        whose summation order varies with the batch shape) so each row's
-        energy is bitwise identical whether evaluated alone or in a
-        batch — the guarantee ``BinaryQuadraticModel.energy`` relies on.
+        Row-independent reductions (a contiguous ``sum(axis=1)`` per
+        term, not BLAS matmul, whose summation order varies with the
+        batch shape) so each row's energy is bitwise identical whether
+        evaluated alone or in a batch — the guarantee
+        ``BinaryQuadraticModel.energy`` relies on.
+
+        Rows are priced :data:`ENERGY_BLOCK` at a time into buffers
+        reused across blocks, so no temporary grows with the batch.  An
+        int8 or bool matrix whose values are all 0/1 gathers the pair
+        products in int8 with ``&``: on 0/1 values
+        ``float(a & b) == float(a) * float(b)``, so every product, and
+        therefore every energy, has the bits of the float evaluation.
+        Any other input is evaluated as the float polynomial.
         """
-        states = np.asarray(states, dtype=np.float64)
-        out = (states * self.h).sum(axis=1) + offset
-        if self.pair_vals.size:
-            # ascontiguousarray: the fancy-indexed product can come out
-            # F-ordered, and reducing a strided axis sums in a different
-            # order than a contiguous row would.
-            out += np.ascontiguousarray(
-                states[:, self.pair_rows] * states[:, self.pair_cols] * self.pair_vals
-            ).sum(axis=1)
+        states = np.asarray(states)
+        if states.dtype == np.bool_:
+            states = states.view(np.int8)
+        binary = states.dtype == np.int8 and not (states.view(np.uint8) > 1).any()
+        if not binary:
+            states = np.asarray(states, dtype=np.float64)
+        num = states.shape[0]
+        out = np.empty(num)
+        block = max(1, min(ENERGY_BLOCK, num))
+        linear = np.empty((block, self.num_variables))
+        pairs = np.empty((block, self.pair_vals.size))
+        # Gather buffers: in binary mode both endpoints are int8 and the
+        # float products land in ``pairs``; otherwise ``pairs`` takes
+        # the first endpoint itself.
+        first = np.empty_like(pairs, dtype=np.int8) if binary else pairs
+        second = np.empty_like(pairs, dtype=states.dtype)
+        for lo in range(0, num, block):
+            rows = states[lo : lo + block]
+            k = rows.shape[0]
+            np.multiply(rows, self.h, out=linear[:k])
+            out[lo : lo + k] = linear[:k].sum(axis=1) + offset
+            if not self.pair_vals.size:
+                continue
+            np.take(rows, self.pair_rows, axis=1, out=first[:k], mode="clip")
+            np.take(rows, self.pair_cols, axis=1, out=second[:k], mode="clip")
+            if binary:
+                np.bitwise_and(first[:k], second[:k], out=first[:k])
+                pairs[:k] = first[:k]  # a plain cast beats a mixed-type multiply
+            else:
+                pairs[:k] *= second[:k]
+            pairs[:k] *= self.pair_vals
+            out[lo : lo + k] += pairs[:k].sum(axis=1)
         return out
 
     def dense(self) -> np.ndarray:
@@ -254,7 +280,6 @@ def refresh_fields_t(
     data: np.ndarray,
     row_sums: np.ndarray,
     spins_t: np.ndarray,
-    spmat=None,
 ) -> np.ndarray:
     """Local fields for a transposed ±1 replica batch, in bulk.
 
@@ -265,15 +290,18 @@ def refresh_fields_t(
     the integer/half-integer models the equivalence tests pin, it is
     bitwise equal to incrementally maintained fields.
 
-    ``spmat`` (optional) is a prebuilt SciPy CSR of the couplings
-    (:attr:`CSRQuadratic.spmatrix`); passing it skips re-validating the
-    matrix on every refresh.
+    This is the NumPy tier's refresh (SciPy's product); the compiled
+    tier computes the same bytes natively (``KernelBackend.refresh_fields``).
     """
+    return _refresh_fields(h, indptr, indices, data, row_sums, spins_t, _csr)
+
+
+def _refresh_fields(h, indptr, indices, data, row_sums, spins_t, build_csr) -> np.ndarray:
+    """:func:`refresh_fields_t`, its sparse matrix built by ``build_csr``."""
     if not data.size:
         return np.repeat(h[:, None], spins_t.shape[1], axis=1)
     n = indptr.size - 1
-    if spmat is None:
-        spmat = _csr(data, indices, indptr, (n, n))
+    spmat = build_csr(data, indices, indptr, (n, n))
     if spmat is not None:
         jt = spmat @ spins_t
     else:
@@ -294,20 +322,22 @@ DEFAULT_SWEEP_CHUNK = 16
 
 
 class SweepPlan(list):
-    """A sweep schedule (list of chunk tuples) that can carry a cached
-    kernel-tier packing.
+    """A sweep schedule (the chunk tuples of :func:`build_sweep_plan`)
+    plus what each kernel tier derives from it, built on first use.
 
-    Compiled backends flatten the per-chunk arrays into one packed
-    layout so a whole sweep is a single native call; the packing is
-    memoized here (``kernel_pack``) because the plan is immutable once
-    built and reused for every sweep of a run.  Plain lists work
-    everywhere a ``SweepPlan`` does — backends simply re-pack per call.
+    The plan is immutable once built and reused for every sweep of a
+    run, so the derived layouts are memoized here: ``chunk_products``
+    holds the NumPy reference's per-chunk sparse matrices (a SciPy CSR,
+    or ``None`` where the pure-NumPy branch runs), ``kernel_pack`` a
+    compiled tier's flattened layout.  Building the plan itself loads
+    no SciPy; only the NumPy tier's first sweep does.
     """
 
-    __slots__ = ("kernel_pack",)
+    __slots__ = ("chunk_products", "kernel_pack")
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.chunk_products = None
         self.kernel_pack = None
 
 
@@ -318,87 +348,75 @@ def build_sweep_plan(
     data: np.ndarray,
     row_sums: np.ndarray,
     chunk: int = DEFAULT_SWEEP_CHUNK,
-) -> list:
+) -> SweepPlan:
     """Chunk schedule for :func:`sa_sweep`.
 
-    Splits the variable range into blocks of ``chunk``.  Each entry
-    carries the block's CSR row slice (as a prebuilt SciPy matrix when
-    available, raw arrays otherwise) for the bulk field build, plus the
-    **intra-chunk forward** sub-structure — for each variable, its
-    couplings to later variables of the same chunk, with chunk-local
-    column ids — which is the only part a flip still has to scatter to
-    by hand.  Column ids are sorted within a CSR row, so both cuts are
-    ``searchsorted`` slices.
+    Splits the variable range into blocks of ``chunk``.  Each entry is
+    ``(start, end, sub_indptr, sub_indices, sub_data, h_c, rs_c, iptr,
+    icols, ivals)``: the block's CSR row slice for the bulk field
+    build, its biases and row sums, and the **intra-chunk forward**
+    sub-structure — for each variable, its couplings to later variables
+    of the same chunk, with chunk-local column ids — which is the only
+    part a flip still has to scatter to by hand.  Column ids are sorted
+    within a CSR row, so a variable's forward couplings are one
+    contiguous run of its row, and one vectorised mask over all
+    couplings finds every run at once.
     """
-    return _sweep_plan(h, indptr, indices, data, row_sums, chunk, _csr)
-
-
-def _sweep_plan(h, indptr, indices, data, row_sums, chunk, build_csr) -> list:
-    """:func:`build_sweep_plan`, its chunk matrices built by ``build_csr``."""
     n = indptr.size - 1
     chunk = max(1, min(int(chunk), n)) if n else 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    base = rows - rows % chunk                     # each row's chunk start
+    forward = (indices > rows) & (indices < np.minimum(base + chunk, n))
+    fptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[forward], minlength=n), out=fptr[1:])
+    fcols = indices[forward] - base[forward]
+    fvals = data[forward]
     plan = SweepPlan()
     for start in range(0, n, chunk):
         end = min(start + chunk, n)
         lo, hi = int(indptr[start]), int(indptr[end])
-        sub_indptr = indptr[start : end + 1] - indptr[start]
-        sub_indices = indices[lo:hi]
-        sub_data = data[lo:hi]
-        jc = (
-            build_csr(sub_data, sub_indices, sub_indptr, (end - start, n))
-            if sub_data.size
-            else None
-        )
-        iptr = [0]
-        icols = []
-        ivals = []
-        for i in range(start, end):
-            rlo, rhi = int(indptr[i]), int(indptr[i + 1])
-            cols_row = indices[rlo:rhi]
-            a = int(np.searchsorted(cols_row, i + 1))
-            b = int(np.searchsorted(cols_row, end))
-            icols.append(cols_row[a:b] - start)
-            ivals.append(data[rlo:rhi][a:b])
-            iptr.append(iptr[-1] + (b - a))
+        flo, fhi = int(fptr[start]), int(fptr[end])
         plan.append(
             (
                 start,
                 end,
-                jc,
-                sub_indptr,
-                sub_indices,
-                sub_data,
+                indptr[start : end + 1] - indptr[start],
+                indices[lo:hi],
+                data[lo:hi],
                 np.ascontiguousarray(h[start:end]),
                 np.ascontiguousarray(row_sums[start:end]),
-                iptr,
-                np.concatenate(icols) if icols else np.empty(0, dtype=np.int64),
-                np.concatenate(ivals) if ivals else np.empty(0),
+                (fptr[start : end + 1] - flo).tolist(),
+                fcols[flo:fhi],
+                fvals[flo:fhi],
             )
         )
     return plan
 
 
 def sa_sweep(
-    plan: list,
+    plan: SweepPlan,
     spins_t: np.ndarray,
     beta: float,
     uniforms: np.ndarray,
-    kernel: str | None = None,
+    kernel=None,
 ) -> int:
     """One Metropolis sweep over all variables, batched across replicas.
 
-    Dispatches to the selected kernel backend
-    (:mod:`repro.perf.kernels`; ``kernel=None`` honours ``REPRO_KERNEL``,
-    default ``auto``) and falls back to the NumPy reference
-    (:func:`_sa_sweep_numpy`, documented below) whenever the inputs are
-    not in the compiled kernels' canonical layout.  All backends make
-    identical flip decisions, so the updated ``spins_t`` is the same
-    bit-for-bit whichever tier ran the sweep (the Metropolis ``exp``
-    ulp caveat is documented in :mod:`repro.perf.cext`).
+    Dispatches to the selected kernel backend (:mod:`repro.perf.kernels`;
+    ``kernel`` is a backend, a tier name, or ``None`` to honour
+    ``REPRO_KERNEL``, default ``auto``) and falls back to the NumPy
+    reference (:func:`_sa_sweep_numpy`, documented below) whenever the
+    inputs are not in the compiled kernels' canonical layout: float64,
+    C-contiguous, ``(n, reads)`` spins and uniforms of the same shape.
+    This check is the compiled call's only guard, since it passes raw
+    addresses.  All backends make identical flip decisions, so the
+    updated ``spins_t`` is the same bit-for-bit whichever tier ran the
+    sweep (the Metropolis ``exp`` ulp caveat is documented in
+    :mod:`repro.perf.cext`).
     """
-    from .kernels import resolve
+    from .kernels import KernelBackend, resolve
 
-    backend = resolve(kernel)
+    backend = kernel if isinstance(kernel, KernelBackend) else resolve(kernel)
     if (
         backend.name != "numpy"
         and spins_t.dtype == np.float64
@@ -406,13 +424,30 @@ def sa_sweep(
         and uniforms.dtype == np.float64
         and uniforms.flags.c_contiguous
         and spins_t.shape == uniforms.shape
+        and spins_t.ndim == 2
+        and plan
+        and spins_t.shape[0] == plan[-1][1]
     ):
         return backend.sa_sweep(plan, spins_t, float(beta), uniforms)
     return _sa_sweep_numpy(plan, spins_t, beta, uniforms)
 
 
+def _chunk_products(plan: SweepPlan) -> list:
+    """The NumPy sweep's per-chunk sparse matrices, memoized on the plan
+    (``None`` per chunk without SciPy: the pure-NumPy branch)."""
+    if plan.chunk_products is None:
+        n = plan[-1][1] if plan else 0
+        plan.chunk_products = [
+            _csr(sub_data, sub_indices, sub_indptr, (end - start, n))
+            if sub_data.size
+            else None
+            for start, end, sub_indptr, sub_indices, sub_data, *_ in plan
+        ]
+    return plan.chunk_products
+
+
 def _sa_sweep_numpy(
-    plan: list,
+    plan: SweepPlan,
     spins_t: np.ndarray,
     beta: float,
     uniforms: np.ndarray,
@@ -427,7 +462,9 @@ def _sa_sweep_numpy(
     The sweep walks the chunks of ``plan`` in variable order.  At each
     chunk boundary the block's local fields are built in bulk from the
     *current* spins — ``h + (row_sums - J_block @ t) / 2``, one compiled
-    sparse product — so flips from earlier chunks are already priced in.
+    sparse product (SciPy's, memoized per chunk on the plan on first
+    use; without SciPy a per-row NumPy product) — so flips from earlier
+    chunks are already priced in.
     Within a chunk, an accepted flip scatters to its **intra-chunk
     forward** neighbours only (already-visited fields are never read
     again, later chunks get rebuilt anyway): when few replicas
@@ -464,7 +501,8 @@ def _sa_sweep_numpy(
     narrow = num_reads // 8
     neg_beta = -float(beta)
     flips = 0
-    for start, end, jc, sub_indptr, sub_indices, sub_data, h_c, rs_c, iptr, icols, ivals in plan:
+    for chunk, jc in zip(plan, _chunk_products(plan)):
+        start, end, sub_indptr, sub_indices, sub_data, h_c, rs_c, iptr, icols, ivals = chunk
         if jc is not None:
             jt = jc @ spins_t
         elif sub_data.size:
@@ -573,17 +611,18 @@ def fields_energies_t(
 def _sa_shard_worker(
     args: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, str | None],
 ) -> tuple[np.ndarray, np.ndarray]:
+    from .kernels import resolve
+
     h, indptr, indices, data, row_sums, states, betas, uniforms, kernel = args
-    n = indptr.size - 1
-    spmat = _csr(data, indices, indptr, (n, n)) if data.size else None
+    backend = resolve(kernel)
     plan = build_sweep_plan(h, indptr, indices, data, row_sums)
     spins_t = np.ascontiguousarray(states.T, dtype=np.float64)
     spins_t *= -2.0
     spins_t += 1.0                                   # ±1 view: t = 1 - 2s
     flips = np.zeros(len(betas), dtype=np.int64)
     for t, beta in enumerate(betas):
-        flips[t] = sa_sweep(plan, spins_t, float(beta), uniforms[t], kernel=kernel)
-    fields_t = refresh_fields_t(h, indptr, indices, data, row_sums, spins_t, spmat)
+        flips[t] = sa_sweep(plan, spins_t, float(beta), uniforms[t], kernel=backend)
+    fields_t = backend.refresh_fields(h, indptr, indices, data, row_sums, spins_t)
     out = spins_t.T.astype(np.float64, order="C")
     out -= 1.0
     out *= -0.5                                      # back to 0/1, exactly

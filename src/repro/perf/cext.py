@@ -32,6 +32,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -113,26 +114,23 @@ def _load_library() -> ctypes.CDLL:
     ]
     lib.release_levels.restype = None
     lib.release_levels.argtypes = [ctypes.c_void_p]
-    lib.sa_sweep_chunk.restype = ctypes.c_int64
-    lib.sa_sweep_chunk.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # reads, start, end
-        _I64, _I64, _F64,                                # sub csr
-        _F64, _F64,                                      # h_c, rs_c
-        _I64, _I64, _F64,                                # iptr, icols, ivals
-        _F64, _F64, ctypes.c_double,                     # spins_t, uniforms, -beta
-        _F64,                                            # fields scratch
-    ]
+    # Called once per sweep with raw addresses: the pack's 13 arrays are
+    # pinned by the pack (PackedPlan.addresses), and anneal.sa_sweep
+    # checks the dtype, contiguity and shape of the spins and uniforms,
+    # so no argument pays ndpointer's per-call validation.
     lib.sa_sweep_plan.restype = ctypes.c_int64
-    lib.sa_sweep_plan.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,                  # reads, nchunks
-        _I64,                                            # bounds
-        _I64, _I64,                                      # ip_flat, ip_off
-        _I64, _F64, _I64,                                # nz cols/vals/off
-        _F64, _F64,                                      # h, rs
-        _I64, _I64,                                      # sp_ptr_flat/off
-        _I64, _F64, _I64,                                # sp cols/vals/off
-        _F64, _F64, ctypes.c_double,                     # spins_t, uniforms, -beta
-        _F64,                                            # fields scratch
+    lib.sa_sweep_plan.argtypes = (
+        [ctypes.c_int64, ctypes.c_int64]                 # reads, nchunks
+        + [ctypes.c_void_p] * 13                         # the pack's arrays
+        + [ctypes.c_void_p, ctypes.c_void_p]             # spins_t, uniforms
+        + [ctypes.c_double, ctypes.c_void_p]             # -beta, scratch
+    )
+    lib.refresh_fields.restype = None
+    lib.refresh_fields.argtypes = [
+        ctypes.c_int64, ctypes.c_int64,                  # reads, n
+        _I64, _I64, _F64,                                # csr
+        _F64, _F64,                                      # h, row sums
+        _F64, _F64,                                      # spins_t, fields
     ]
     lib.tabu_descend.restype = None
     lib.tabu_descend.argtypes = [
@@ -145,6 +143,23 @@ def _load_library() -> ctypes.CDLL:
         _F64, _I64,                                      # delta, tabu scratch
     ]
     return lib
+
+
+class _NativeLevels:
+    """Owner of an ``enumerate_levels`` buffer, exposed to NumPy through
+    the array interface: the array keeps this object as its base, and
+    collecting it hands the buffer back to ``release_levels``."""
+
+    def __init__(self, lib: ctypes.CDLL, address: int, total: int) -> None:
+        self.__array_interface__ = {
+            "data": (address, False),
+            "shape": (total,),
+            "typestr": np.dtype(np.int64).str,
+            "version": 3,
+        }
+        # Not at exit: an array may outlive its finalizer's registry
+        # during interpreter teardown, and the OS reclaims the buffer.
+        weakref.finalize(self, lib.release_levels, address).atexit = False
 
 
 class CExtKernels(KernelBackend):
@@ -168,56 +183,40 @@ class CExtKernels(KernelBackend):
         )
         if not levels:
             raise MemoryError("enumerate_levels: out of memory")
-        try:
-            by_size = np.empty(int(counts.sum()), dtype=np.int64)
-            ctypes.memmove(by_size.ctypes.data, levels, by_size.nbytes)
-        finally:
-            self._lib.release_levels(levels)
+        # The native buffer becomes the array, uncopied; it is freed when
+        # the last array over it is collected.
+        by_size = np.asarray(_NativeLevels(self._lib, levels, int(counts.sum())))
         return by_size, counts, int(candidates[0])
 
     def sa_sweep(self, plan, spins_t, beta, uniforms):
         from .kernels import pack_sweep_plan
 
-        reads = spins_t.shape[1]
-        neg_beta = -float(beta)
-        spins_t = np.ascontiguousarray(spins_t)
-        uniforms = np.ascontiguousarray(uniforms)
         pack = pack_sweep_plan(plan)
-        if pack is not None:
-            # One native call per sweep: the packing is memoized on the
-            # plan, so repeat sweeps pay only this dispatch.
-            scratch = np.empty(pack.max_chunk * reads, dtype=np.float64)
-            return int(
-                self._lib.sa_sweep_plan(
-                    reads, pack.nchunks, pack.bounds,
-                    pack.ip_flat, pack.ip_off,
-                    pack.nz_cols, pack.nz_vals, pack.nz_off,
-                    pack.h, pack.rs,
-                    pack.sp_ptr_flat, pack.sp_ptr_off,
-                    pack.sp_cols, pack.sp_vals, pack.sp_nz_off,
-                    spins_t, uniforms, neg_beta, scratch,
-                )
-            )
-        # Irregular (hand-built) plan: per-chunk dispatch.
-        max_chunk = max((end - start for start, end, *_ in plan), default=0)
-        scratch = np.empty(max_chunk * reads, dtype=np.float64)
-        flips = 0
-        for (
-            start, end, _jc, sub_indptr, sub_indices, sub_data,
-            h_c, rs_c, iptr, icols, ivals,
-        ) in plan:
-            flips += self._lib.sa_sweep_chunk(
-                reads, start, end,
-                np.ascontiguousarray(sub_indptr, dtype=np.int64),
-                np.ascontiguousarray(sub_indices, dtype=np.int64),
-                np.ascontiguousarray(sub_data, dtype=np.float64),
-                h_c, rs_c,
-                np.asarray(iptr, dtype=np.int64),
-                np.ascontiguousarray(icols, dtype=np.int64),
-                np.ascontiguousarray(ivals, dtype=np.float64),
-                spins_t, uniforms, neg_beta, scratch,
-            )
-        return int(flips)
+        scratch = np.empty(pack.max_chunk * spins_t.shape[1])
+        return self._lib.sa_sweep_plan(
+            spins_t.shape[1], pack.nchunks, *pack.addresses,
+            spins_t.ctypes.data, uniforms.ctypes.data, -beta,
+            scratch.ctypes.data,
+        )
+
+    def refresh_fields(self, h, indptr, indices, data, row_sums, spins_t):
+        n, reads = spins_t.shape
+        if not data.size:
+            return np.repeat(h[:, None], reads, axis=1)
+        if indptr.size != n + 1 or h.size != n or row_sums.size != n:
+            raise ValueError("refresh_fields: model and batch sizes differ")
+        fields = np.empty((n, reads))
+        self._lib.refresh_fields(
+            reads, n,
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+            np.ascontiguousarray(data, dtype=np.float64),
+            np.ascontiguousarray(h, dtype=np.float64),
+            np.ascontiguousarray(row_sums, dtype=np.float64),
+            np.ascontiguousarray(spins_t, dtype=np.float64),
+            fields,
+        )
+        return fields
 
     def tabu_descend(
         self, h, indptr, indices, data, x, energies, iterations, tenure,

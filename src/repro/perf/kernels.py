@@ -3,10 +3,10 @@
 Three inner loops dominate the pipeline's classical runtime — the
 level-by-level k-plex mask enumeration
 (:func:`repro.perf.bitparallel.kplex_levels`), the CSR Metropolis
-sweep, and the batched tabu flip loop (:mod:`repro.perf.anneal`).  Each
-has exactly one reference implementation (pure NumPy, byte-identical
-to the seed) and one compiled twin behind a common
-:class:`KernelBackend` interface:
+sweep with its final field refresh, and the batched tabu flip loop
+(:mod:`repro.perf.anneal`).  Each has exactly one reference
+implementation (pure NumPy, byte-identical to the seed) and one
+compiled twin behind a common :class:`KernelBackend` interface:
 
 * ``numpy`` — the reference.  Always available; selecting it (or having
   no C compiler at all) reproduces seed-era results bit-for-bit.
@@ -54,8 +54,8 @@ class KernelUnavailable(RuntimeError):
 class KernelBackend:
     """Interface every kernel tier implements.
 
-    All three entry points take and return exactly what the NumPy
-    reference functions do, and must produce byte-identical integer
+    Every entry point takes and returns exactly what the NumPy
+    reference function does, and must produce byte-identical integer
     decisions (masks, spin signs, chosen flips); float outputs are
     produced by the same operation sequences so they agree bitwise on
     the model classes the equivalence suite pins (the lone caveat is
@@ -70,8 +70,24 @@ class KernelBackend:
         raise NotImplementedError
 
     def sa_sweep(
-        self, plan: list, spins_t: np.ndarray, beta: float, uniforms: np.ndarray
+        self, plan, spins_t: np.ndarray, beta: float, uniforms: np.ndarray
     ) -> int:
+        """One sweep of a :class:`~repro.perf.anneal.SweepPlan` over
+        canonical (float64, C-contiguous, ``(n, reads)``) spins and
+        uniforms — :func:`repro.perf.anneal.sa_sweep` checks the layout."""
+        raise NotImplementedError
+
+    def refresh_fields(
+        self,
+        h: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+        row_sums: np.ndarray,
+        spins_t: np.ndarray,
+    ) -> np.ndarray:
+        """:func:`repro.perf.anneal.refresh_fields_t`: the fields of a
+        whole transposed ±1 batch, byte for byte."""
         raise NotImplementedError
 
     def tabu_descend(
@@ -94,76 +110,49 @@ class PackedPlan:
 
     One contiguous array per plan field (per-chunk slices concatenated,
     with per-chunk base offsets), so a compiled backend walks every
-    chunk of a sweep inside one native call instead of paying a
-    Python/ctypes round trip per chunk.
+    chunk of a sweep inside one native call.  ``addresses`` holds the
+    arrays' data pointers in that call's argument order, taken once:
+    the pack owns the arrays, so the pointers stay valid for as long as
+    the pack (memoized on its plan) lives, and a sweep marshals only its
+    spins, uniforms and scratch.
     """
 
-    __slots__ = (
-        "nchunks", "bounds", "ip_flat", "ip_off", "nz_cols", "nz_vals",
-        "nz_off", "h", "rs", "sp_ptr_flat", "sp_ptr_off", "sp_cols",
-        "sp_vals", "sp_nz_off", "max_chunk",
-    )
+    __slots__ = ("nchunks", "max_chunk", "arrays", "addresses")
 
 
-def pack_sweep_plan(plan) -> PackedPlan | None:
-    """Flatten ``plan`` (see :func:`repro.perf.anneal.build_sweep_plan`)
-    into a :class:`PackedPlan`, memoized on the plan when it is a
-    :class:`~repro.perf.anneal.SweepPlan`.
+def _flat(plan, field: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Field ``field`` of every chunk concatenated, and each chunk's
+    base offset into it."""
+    parts = [np.asarray(chunk[field], dtype=dtype) for chunk in plan]
+    sizes = np.array([part.size for part in parts], dtype=np.int64)
+    offsets = np.zeros(len(parts), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    return np.concatenate(parts), offsets
 
-    Returns None for plans whose chunks do not tile ``[0, n)``
-    contiguously (never produced by ``build_sweep_plan``; a hand-built
-    irregular plan keeps the per-chunk path).
-    """
-    cached = getattr(plan, "kernel_pack", None)
-    if cached is not None:
-        return cached
-    if not plan:
-        return None
-    if plan[0][0] != 0 or any(
-        plan[c][1] != plan[c + 1][0] for c in range(len(plan) - 1)
-    ):
-        return None
+
+def pack_sweep_plan(plan) -> PackedPlan:
+    """Flatten a non-empty :class:`~repro.perf.anneal.SweepPlan` into a
+    :class:`PackedPlan`, memoized on the plan (``kernel_pack``)."""
+    if plan.kernel_pack is not None:
+        return plan.kernel_pack
+    bounds = np.array([chunk[0] for chunk in plan] + [plan[-1][1]], dtype=np.int64)
+    ip_flat, ip_off = _flat(plan, 2, np.int64)
+    nz_cols, nz_off = _flat(plan, 3, np.int64)
+    nz_vals, _ = _flat(plan, 4, np.float64)
+    h, _ = _flat(plan, 5, np.float64)
+    rs, _ = _flat(plan, 6, np.float64)
+    sp_ptr_flat, sp_ptr_off = _flat(plan, 7, np.int64)
+    sp_cols, sp_nz_off = _flat(plan, 8, np.int64)
+    sp_vals, _ = _flat(plan, 9, np.float64)
     pack = PackedPlan()
     pack.nchunks = len(plan)
-    bounds = [p[0] for p in plan] + [plan[-1][1]]
-    pack.bounds = np.asarray(bounds, dtype=np.int64)
-    ip_parts, nz_cols, nz_vals = [], [], []
-    sp_ptrs, sp_cols, sp_vals = [], [], []
-    ip_off, nz_off, sp_ptr_off, sp_nz_off = [], [], [], []
-    h_parts, rs_parts = [], []
-    for (
-        _start, _end, _jc, sub_indptr, sub_indices, sub_data,
-        h_c, rs_c, iptr, icols, ivals,
-    ) in plan:
-        ip_off.append(sum(p.size for p in ip_parts))
-        nz_off.append(sum(p.size for p in nz_cols))
-        sp_ptr_off.append(sum(p.size for p in sp_ptrs))
-        sp_nz_off.append(sum(p.size for p in sp_cols))
-        ip_parts.append(np.ascontiguousarray(sub_indptr, dtype=np.int64))
-        nz_cols.append(np.ascontiguousarray(sub_indices, dtype=np.int64))
-        nz_vals.append(np.ascontiguousarray(sub_data, dtype=np.float64))
-        sp_ptrs.append(np.asarray(iptr, dtype=np.int64))
-        sp_cols.append(np.ascontiguousarray(icols, dtype=np.int64))
-        sp_vals.append(np.ascontiguousarray(ivals, dtype=np.float64))
-        h_parts.append(np.ascontiguousarray(h_c, dtype=np.float64))
-        rs_parts.append(np.ascontiguousarray(rs_c, dtype=np.float64))
-    pack.ip_flat = np.concatenate(ip_parts)
-    pack.ip_off = np.asarray(ip_off, dtype=np.int64)
-    pack.nz_cols = np.concatenate(nz_cols)
-    pack.nz_vals = np.concatenate(nz_vals)
-    pack.nz_off = np.asarray(nz_off, dtype=np.int64)
-    pack.h = np.concatenate(h_parts)
-    pack.rs = np.concatenate(rs_parts)
-    pack.sp_ptr_flat = np.concatenate(sp_ptrs)
-    pack.sp_ptr_off = np.asarray(sp_ptr_off, dtype=np.int64)
-    pack.sp_cols = np.concatenate(sp_cols)
-    pack.sp_vals = np.concatenate(sp_vals)
-    pack.sp_nz_off = np.asarray(sp_nz_off, dtype=np.int64)
-    pack.max_chunk = max(p[1] - p[0] for p in plan)
-    try:
-        plan.kernel_pack = pack
-    except AttributeError:
-        pass  # plain list: correct but re-packed per call
+    pack.max_chunk = int(np.diff(bounds).max())
+    pack.arrays = (
+        bounds, ip_flat, ip_off, nz_cols, nz_vals, nz_off, h, rs,
+        sp_ptr_flat, sp_ptr_off, sp_cols, sp_vals, sp_nz_off,
+    )
+    pack.addresses = tuple(array.ctypes.data for array in pack.arrays)
+    plan.kernel_pack = pack
     return pack
 
 
@@ -181,6 +170,11 @@ class NumpyKernels(KernelBackend):
         from .anneal import _sa_sweep_numpy
 
         return _sa_sweep_numpy(plan, spins_t, beta, uniforms)
+
+    def refresh_fields(self, h, indptr, indices, data, row_sums, spins_t):
+        from .anneal import refresh_fields_t
+
+        return refresh_fields_t(h, indptr, indices, data, row_sums, spins_t)
 
     def tabu_descend(
         self, h, indptr, indices, data, x, energies, iterations, tenure,

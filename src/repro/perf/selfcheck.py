@@ -1,7 +1,7 @@
 """First-load self-validation for compiled kernel backends.
 
 A compiled tier is only offered after it reproduces the NumPy reference
-bit-for-bit on a fixed probe instance covering all three kernels.  This
+bit-for-bit on a fixed probe instance covering every kernel.  This
 catches miscompiles, ABI mismatches, and toolchain quirks at resolution
 time — the registry treats a failed probe exactly like a missing
 toolchain (silent fallback to the reference) instead of letting a wrong
@@ -42,8 +42,8 @@ def _probe_csr():
 def validate_backend(backend: KernelBackend) -> None:
     """Raise :class:`KernelUnavailable` unless ``backend`` matches the
     reference on the probe instance (byte-identical outputs)."""
-    from .anneal import DEFAULT_SWEEP_CHUNK, _no_csr, _sa_sweep_numpy
-    from .anneal import _sweep_plan, _tabu_descend_numpy
+    from .anneal import _no_csr, _refresh_fields, _sa_sweep_numpy
+    from .anneal import _tabu_descend_numpy, build_sweep_plan
     from .bitparallel import _enumerate_levels
 
     rng = np.random.default_rng(12345)
@@ -69,10 +69,8 @@ def validate_backend(backend: KernelBackend) -> None:
 
     # --- sa_sweep: multi-chunk plan, both scatter branches -----------
     csr = _probe_csr()
-    plan = _sweep_plan(
-        csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums,
-        DEFAULT_SWEEP_CHUNK, _no_csr,
-    )
+    plan = build_sweep_plan(csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums)
+    plan.chunk_products = [None] * len(plan)  # the reference's SciPy-free branch
     reads = 24
     spins = np.where(
         rng.integers(0, 2, size=(csr.num_variables, reads)) > 0, 1.0, -1.0
@@ -88,6 +86,13 @@ def validate_backend(backend: KernelBackend) -> None:
                 f"{backend.name}: sa_sweep self-check mismatch"
             )
         spins = ref_spins
+
+    # --- refresh: the whole batch's fields after those sweeps --------
+    model = (csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, spins)
+    ref_fields = _refresh_fields(*model, _no_csr)
+    got_fields = backend.refresh_fields(*model)
+    if ref_fields.tobytes() != got_fields.tobytes():
+        raise KernelUnavailable(f"{backend.name}: refresh_fields self-check mismatch")
 
     # --- tabu: record the flip trail and compare it too --------------
     x = rng.integers(0, 2, size=(5, csr.num_variables)).astype(np.int8)

@@ -432,3 +432,88 @@ class TestSweepPlan:
         spans = [(entry[0], entry[1]) for entry in plan]
         assert spans[0][0] == 0 and spans[-1][1] == 11
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+def reference_sweep_plan(h, indptr, indices, data, row_sums, chunk):
+    """The per-variable loop that built sweep plans before the
+    vectorised build (less the SciPy chunk matrices it also carried)."""
+    n = indptr.size - 1
+    chunk = max(1, min(int(chunk), n)) if n else 1
+    plan = []
+    for start in range(0, n, chunk):
+        end = min(start + chunk, n)
+        lo, hi = int(indptr[start]), int(indptr[end])
+        iptr, icols, ivals = [0], [], []
+        for i in range(start, end):
+            rlo, rhi = int(indptr[i]), int(indptr[i + 1])
+            cols_row = indices[rlo:rhi]
+            a = int(np.searchsorted(cols_row, i + 1))
+            b = int(np.searchsorted(cols_row, end))
+            icols.append(cols_row[a:b] - start)
+            ivals.append(data[rlo:rhi][a:b])
+            iptr.append(iptr[-1] + (b - a))
+        plan.append((
+            start, end,
+            indptr[start : end + 1] - indptr[start], indices[lo:hi], data[lo:hi],
+            np.ascontiguousarray(h[start:end]),
+            np.ascontiguousarray(row_sums[start:end]),
+            iptr, np.concatenate(icols), np.concatenate(ivals),
+        ))
+    return plan
+
+
+@st.composite
+def sparse_models(draw):
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    bqm = BinaryQuadraticModel()
+    for v in range(n):
+        bqm.add_linear(v, float(rng.normal()))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                bqm.add_quadratic(u, v, float(rng.normal()))
+    return bqm
+
+
+class TestVectorisedSweepPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(bqm=sparse_models(), chunk=st.sampled_from([1, 2, 3, 5, 16, 64]))
+    def test_equals_the_per_variable_loop(self, bqm, chunk):
+        from repro.perf.anneal import build_sweep_plan
+
+        csr = bqm.to_csr()
+        model = (csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums)
+        got = build_sweep_plan(*model, chunk)
+        ref = reference_sweep_plan(*model, chunk)
+        assert len(got) == len(ref)
+        for got_chunk, ref_chunk in zip(got, ref):
+            assert len(got_chunk) == len(ref_chunk)
+            for a, b in zip(got_chunk, ref_chunk):
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert type(a) is type(b) and a == b
+
+    def test_products_are_built_on_first_numpy_sweep(self):
+        pytest.importorskip("scipy.sparse")
+        from repro.perf.anneal import sa_sweep
+
+        rng = np.random.default_rng(12)
+        bqm = BinaryQuadraticModel()
+        for v in range(20):
+            bqm.add_linear(v, float(rng.normal()))
+        for _ in range(50):
+            u, v = rng.choice(20, size=2, replace=False)
+            bqm.add_quadratic(int(u), int(v), float(rng.normal()))
+        plan = bqm.to_csr().sweep_plan
+        assert plan.chunk_products is None and plan.kernel_pack is None
+        spins = rng.choice([-1.0, 1.0], size=(20, 3))
+        sa_sweep(plan, spins, 0.5, rng.random((20, 3)), kernel="numpy")
+        products = plan.chunk_products
+        assert len(products) == len(plan)
+        assert all(p is not None for p in products)
+        sa_sweep(plan, spins, 0.5, rng.random((20, 3)), kernel="numpy")
+        assert plan.chunk_products is products

@@ -84,8 +84,40 @@ def test_cli_qmkp_solve_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(code) == []
 
 
+_QAMKP_CELL = (
+    "import os\n"
+    "os.environ.pop('REPRO_KERNEL', None)\n"
+    "from repro.core import qamkp\n"
+    "from repro.datasets.paper_instances import ANNEALING_INSTANCES\n"
+    "from repro.perf.kernels import resolve\n"
+    "assert resolve().name == 'cext', resolve().name\n"
+    "graph = ANNEALING_INSTANCES['D_20_100'].build()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "qamkp(graph, 3, penalty=2.0, runtime_us=100.0, solver='qpu', seed=5)",
+        "qamkp(graph, 3, penalty=2.0, runtime_us=1e4, solver='sa', seed=5)",
+    ],
+    ids=["qpu", "sa"],
+)
+def test_qamkp_cell_through_the_auto_tier_loads_no_scipy(cell):
+    """The compiled tier sweeps, refreshes and prices without SciPy, and
+    a dense QUBO's embedding never reaches the SciPy-backed router."""
+    from repro.perf import available_backends
+
+    if "cext" not in available_backends():
+        pytest.skip("no C compiler: the auto tier is the NumPy reference")
+    assert _scipy_modules_after(_QAMKP_CELL + cell + "\n") == []
+
+
 def test_simulated_annealing_takes_the_sparse_path():
+    """The NumPy reference tier builds its sweep products with SciPy."""
     code = (
+        "import os\n"
+        "os.environ['REPRO_KERNEL'] = 'numpy'\n"
         "from repro.core import qamkp\n"
         "from repro.graphs import gnm_random_graph\n"
         "qamkp(gnm_random_graph(8, 16, seed=1), 2, solver='sa', seed=3,"

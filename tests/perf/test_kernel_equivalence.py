@@ -2,18 +2,24 @@
 
 The contract that makes ``--kernel`` safe to flip in production: both
 backends — the NumPy reference and the C extension — produce the *same
-bytes* for the three hot loops (level-by-level k-plex enumeration, CSR
-Metropolis sweep, batched tabu descent), for any input, any chunking,
-and any replica batch shape.  The enumeration is further held to the
-``2^n`` mask sweep it replaced (``sweep_reference``).  Hypothesis
-draws half-integer coefficients, for which every float64 field/energy
-is exact regardless of summation order, so "byte-identical" is
-deterministic here, not probabilistic.
+bytes* for the hot loops (level-by-level k-plex enumeration, CSR
+Metropolis sweep and its final field refresh, batched tabu descent),
+for any input, any chunking, and any replica batch shape.  The
+enumeration is further held to the ``2^n`` mask sweep it replaced
+(``sweep_reference``).  Hypothesis draws half-integer coefficients for
+the sweep and tabu, for which every float64 field/energy is exact
+regardless of summation order, so "byte-identical" is deterministic
+here, not probabilistic; the refresh is held to SciPy's product on
+non-dyadic coefficients too, where only the same summation order gives
+the same bits.
 
 A backend that cannot construct in this environment (no C compiler) is
 skip-marked, never failed: the tier is an accelerator, not a
 dependency.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing import BinaryQuadraticModel, SimulatedAnnealingSampler
+from repro.core import build_mkp_qubo
+from repro.datasets.paper_instances import ANNEALING_INSTANCES
 from repro.graphs import Graph, gnm_random_graph
 from repro.perf import MarkedSetCache, kernels
-from repro.perf.anneal import SweepPlan, build_sweep_plan, sa_sweep, tabu_descend
+from repro.perf.anneal import build_sweep_plan, refresh_fields_t, sa_sweep, tabu_descend
 from repro.perf.bitparallel import kplex_masks
 from repro.perf.kernels import (
     KERNEL_NAMES,
@@ -152,6 +160,36 @@ def test_tiers_agree_on_wide_sparse_graphs(backend, n):
     assert _same_table(got, ref)
 
 
+@pytest.mark.parametrize("backend", COMPILED)
+def test_a_dropped_table_releases_its_native_buffer(backend, monkeypatch):
+    # The native level buffer is the table's array, uncopied, and goes
+    # back to release_levels once the last reference to it is dropped.
+    tier = resolve(backend)
+    lib = tier._lib
+    released = []
+
+    class RecordingLibrary:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def release_levels(self, address):
+            released.append(address)
+            lib.release_levels(address)
+
+    monkeypatch.setattr(tier, "_lib", RecordingLibrary())
+    graph = gnm_random_graph(16, 40, seed=1)
+    table = MarkedSetCache(kernel=backend).table(graph, 2)
+    assert _same_table(table, MarkedSetCache(kernel="numpy").table(graph, 2))
+    members = table._by_size
+    assert not members.flags.owndata and members.base is not None
+    address = members.ctypes.data
+    owner = weakref.ref(members.base)
+    del table, members
+    gc.collect()
+    assert owner() is None
+    assert released == [address]
+
+
 # ----------------------------------------------------------------------
 # SA sweep kernel
 # ----------------------------------------------------------------------
@@ -197,30 +235,6 @@ def test_sa_sweep_chunk_size_invariant(backend):
             assert outcome == reference
 
 
-@pytest.mark.parametrize("backend", COMPILED)
-def test_packed_and_per_chunk_dispatch_agree(backend):
-    # SweepPlan carries a memoized whole-plan pack (one native call per
-    # sweep); a plain-list plan takes the per-chunk path.  Same bytes.
-    rng = np.random.default_rng(5)
-    bqm = BinaryQuadraticModel()
-    for v in range(13):
-        bqm.add_linear(v, float(rng.integers(-6, 7)) / 2)
-    for _ in range(30):
-        u, v = rng.choice(13, size=2, replace=False)
-        bqm.add_quadratic(int(u), int(v), float(rng.integers(-6, 7)) / 2)
-    csr, spins0, uniforms = _sweep_inputs(bqm, 4, 9)
-    plan = build_sweep_plan(
-        csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, 4
-    )
-    assert isinstance(plan, SweepPlan)
-    packed = spins0.copy()
-    packed_flips = sa_sweep(plan, packed, 1.1, uniforms, kernel=backend)
-    unpacked = spins0.copy()
-    unpacked_flips = sa_sweep(list(plan), unpacked, 1.1, uniforms, kernel=backend)
-    assert packed_flips == unpacked_flips
-    assert packed.tobytes() == unpacked.tobytes()
-
-
 def test_pack_is_memoized_on_the_plan():
     rng = np.random.default_rng(6)
     bqm = BinaryQuadraticModel()
@@ -234,9 +248,56 @@ def test_pack_is_memoized_on_the_plan():
         csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, 4
     )
     pack = pack_sweep_plan(plan)
-    assert pack is not None
     assert pack_sweep_plan(plan) is pack  # cached on the SweepPlan
-    assert pack_sweep_plan(list(plan)) is not pack  # plain list: rebuilt
+    assert plan.kernel_pack is pack
+    # The native call's pointers are taken once, from arrays the pack owns.
+    assert pack.addresses == tuple(a.ctypes.data for a in pack.arrays)
+    assert all(a.flags.c_contiguous and a.flags.owndata for a in pack.arrays)
+
+
+@st.composite
+def float_bqms(draw, max_n=24):
+    """Models with non-dyadic coefficients: their sums round, so two
+    evaluations agree bit for bit only if they add in the same order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    bqm = BinaryQuadraticModel()
+    for v in range(n):
+        bqm.add_linear(v, float(rng.normal() * 3))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                bqm.add_quadratic(u, v, float(rng.normal() * 3))
+    return bqm
+
+
+def _assert_refresh_matches_scipy(backend, csr, spins):
+    model = (csr.h, csr.indptr, csr.indices, csr.data, csr.row_sums, spins)
+    ref = refresh_fields_t(*model)
+    got = resolve(backend).refresh_fields(*model)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@settings(max_examples=60, deadline=None)
+@given(bqm=float_bqms(), reads=st.sampled_from([1, 2, 7, 100]), seed=st.integers(0, 99))
+def test_native_refresh_matches_scipy_refresh(backend, bqm, reads, seed):
+    pytest.importorskip("scipy.sparse")
+    csr, spins, _ = _sweep_inputs(bqm, reads, seed)
+    _assert_refresh_matches_scipy(backend, csr, spins)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("penalty", [1.1, 2.0])
+@pytest.mark.parametrize("reads", [1, 1000])
+def test_native_refresh_matches_scipy_on_qamkp_qubos(backend, penalty, reads):
+    pytest.importorskip("scipy.sparse")
+    graph = ANNEALING_INSTANCES["D_30_300"].build()
+    bqm = build_mkp_qubo(graph, 3, penalty=penalty).bqm
+    csr, spins, _ = _sweep_inputs(bqm, reads, 11)
+    _assert_refresh_matches_scipy(backend, csr, spins)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 It must refuse a backend that differs from the reference in any single
 output, and it must do so without loading SciPy: its reference runs
 the pure-NumPy branch, which on the probe is byte-identical to the
-SciPy branch the annealing path takes.
+SciPy branch the NumPy tier takes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.perf.anneal import _csr, _no_csr, _sa_sweep_numpy, _tabu_descend_numpy
+from repro.perf.anneal import (
+    SweepPlan,
+    _no_csr,
+    _refresh_fields,
+    _sa_sweep_numpy,
+    _tabu_descend_numpy,
+)
 from repro.perf.kernels import KernelUnavailable, NumpyKernels
 from repro.perf.selfcheck import validate_backend
 
@@ -29,6 +35,7 @@ PERTURBED_OUTPUTS = (
     "enumerate_levels.counts",
     "sa_sweep.flips",
     "sa_sweep.spins",
+    "refresh_fields.fields",
     "tabu_descend.trail",
     "tabu_descend.energies",
 )
@@ -38,6 +45,9 @@ class ScipyFreeReference(NumpyKernels):
     """The NumPy reference on the branch an install without SciPy takes."""
 
     name = "scipy-free"
+
+    def refresh_fields(self, *model):
+        return _refresh_fields(*model, _no_csr)
 
     def tabu_descend(self, *args, record_flips=None):
         return _tabu_descend_numpy(
@@ -66,6 +76,12 @@ class Perturbed(ScipyFreeReference):
         if self.output == "sa_sweep.spins":
             spins_t[0, 0] = -spins_t[0, 0]
         return flips + (self.output == "sa_sweep.flips")
+
+    def refresh_fields(self, *model):
+        fields = super().refresh_fields(*model)
+        if self.output == "refresh_fields.fields":
+            fields[-1, -1] = np.nextafter(fields[-1, -1], np.inf)
+        return fields
 
     def tabu_descend(self, *args, record_flips=None):
         best_x, best_e = super().tabu_descend(*args, record_flips=record_flips)
@@ -116,18 +132,16 @@ def test_refuses_any_single_wrong_output_without_scipy():
 
 class ScipyReference(NumpyKernels):
     """The NumPy reference on the SciPy branch: sparse chunk products in
-    the sweep, a sparse field set-up in tabu."""
+    the sweep, a sparse product in the refresh, a sparse field set-up in
+    tabu."""
 
     name = "scipy"
 
     def sa_sweep(self, plan, spins_t, beta, uniforms):
-        n = plan[-1][1]
-        sparse = []
-        for start, end, _jc, indptr, indices, data, *rest in plan:
-            matrix = _csr(data, indices, indptr, (end - start, n)) if data.size else None
-            sparse.append((start, end, matrix, indptr, indices, data, *rest))
-        assert any(chunk[2] is not None for chunk in sparse)
-        return _sa_sweep_numpy(sparse, spins_t, beta, uniforms)
+        sparse = SweepPlan(plan)  # fresh memo: SciPy builds the products
+        flips = _sa_sweep_numpy(sparse, spins_t, beta, uniforms)
+        assert any(product is not None for product in sparse.chunk_products)
+        return flips
 
 
 def test_reference_branches_byte_equal_on_the_probe():
